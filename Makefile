@@ -1,4 +1,4 @@
-.PHONY: all test bench examples clean quick-bench chaos oracle golden backend-bench metrics-bench storm storm-bench adversary adversary-bench spans spans-bench lint ci
+.PHONY: all test bench examples clean quick-bench chaos oracle golden fig6 backend-bench metrics-bench storm storm-bench adversary adversary-bench spans spans-bench lint ci
 
 all:
 	dune build @all
@@ -16,6 +16,11 @@ oracle:
 # fixed-seed scenarios must reproduce the digests in test/golden/
 golden:
 	dune exec test/test_golden.exe
+
+# the Figure 6 join at quick scale; exits nonzero unless every run's
+# measured fault count equals the paper's analytic PF_l / PF_m
+fig6:
+	dune exec bench/main.exe -- fig6 --quick
 
 # interp vs compiled executor on the same scenarios; fails on digest
 # divergence or on a compiled-speedup regression (executor-attributed
@@ -78,10 +83,10 @@ lint:
 
 # What CI runs: full build, the whole test suite (which includes the
 # oracle, golden, storm, span and adversary suites), the policy lint
-# gate, the chaos and storm acceptance checks at smoke scale, the
-# adversary regression gate, the span cross-backend gate, and the
-# backend equivalence benches.
-ci: all test lint oracle golden chaos storm adversary spans backend-bench metrics-bench storm-bench adversary-bench spans-bench
+# gate, the Figure 6 fault-count gate, the chaos and storm acceptance
+# checks at smoke scale, the adversary regression gate, the span
+# cross-backend gate, and the backend equivalence benches.
+ci: all test lint oracle golden fig6 chaos storm adversary spans backend-bench metrics-bench storm-bench adversary-bench spans-bench
 
 bench:
 	dune exec bench/main.exe

@@ -132,21 +132,35 @@ let fig6 ~quick () =
     (if quick then " [quick: 16 scans]" else "");
   Printf.printf "  %6s  %12s %10s  %12s %10s  %9s\n" "outer" "LRU-like" "(pred PF)" "HiPEC MRU"
     "(pred PF)" "speedup";
+  (* the gate: every run's measured outer-table faults must equal the
+     paper's analytic count for its policy *)
+  let mismatches = ref [] in
+  let check outer_mb name (r : Join.result) predicted =
+    if r.Join.faults <> predicted then
+      mismatches :=
+        Printf.sprintf "%dMB %s: measured %d faults, predicted %d" outer_mb name
+          r.Join.faults predicted
+        :: !mismatches
+  in
   List.iter
     (fun outer_mb ->
       let c = scale_cfg outer_mb in
       let lru = Join.run Join.Kernel_default c in
       let mru = Join.run Join.Hipec_mru c in
+      let pred_lru = Join.predicted_faults `Lru c and pred_mru = Join.predicted_faults `Mru c in
+      check outer_mb "LRU-like" lru pred_lru;
+      check outer_mb "HiPEC MRU" mru pred_mru;
       Printf.printf "  %4dMB  %9.1fmin %10d  %9.1fmin %10d  %8.2fx\n" outer_mb
-        (T.to_min_f lru.Join.elapsed)
-        (Join.predicted_faults `Lru c)
-        (T.to_min_f mru.Join.elapsed)
-        (Join.predicted_faults `Mru c)
+        (T.to_min_f lru.Join.elapsed) pred_lru (T.to_min_f mru.Join.elapsed) pred_mru
         (T.to_sec_f lru.Join.elapsed /. T.to_sec_f mru.Join.elapsed))
     sizes;
   Printf.printf
     "\n(paper: a great response-time gap opens once the outer table exceeds\n\
-    \ the 40 MB of managed memory; measured times match the analytic counts)\n\n"
+    \ the 40 MB of managed memory; measured times match the analytic counts)\n\n";
+  if !mismatches <> [] then begin
+    List.iter (Printf.eprintf "fig6: %s\n") (List.rev !mismatches);
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)

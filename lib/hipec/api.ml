@@ -94,7 +94,7 @@ let build_operands spec =
           Error
             (Printf.sprintf "operand %d outside user range %d..%d" ix
                Operand.Std.first_user (Operand.size - 1))
-        else if Operand.get ops ix <> None then
+        else if Option.is_some (Operand.get ops ix) then
           Error (Printf.sprintf "operand %d declared twice" ix)
         else begin
           Operand.set ops ix value;

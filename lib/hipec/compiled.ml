@@ -435,7 +435,7 @@ let compile ~engine ~costs ~max_steps ~max_activation_depth ~services ~counter c
                       else None
                     in
                     slot := found;
-                    cond (found <> None) rt))
+                    cond (Option.is_some found) rt))
       | Instr.Activate ev ->
           fun rt ->
             rt.depth <- rt.depth + 1;
@@ -449,8 +449,8 @@ let compile ~engine ~costs ~max_steps ~max_activation_depth ~services ~counter c
               let select =
                 match instr with
                 | Instr.Fifo _ -> Page_queue.peek_head
-                | Instr.Lru _ -> Page_queue.find_oldest
-                | _ -> Page_queue.find_newest
+                | Instr.Lru _ -> Page_queue.oldest
+                | _ -> Page_queue.newest
               in
               let reg = cpage_slot Operand.Std.page_reg in
               (* Evict one page chosen by [select]; it becomes a free

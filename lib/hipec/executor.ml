@@ -316,7 +316,7 @@ let run_interp t container ~event ~prof =
                       else None
                     in
                     slot := found;
-                    set_cond (found <> None)
+                    set_cond (Option.is_some found)
                 | Instr.Activate ev -> (
                     match exec_event ev (depth + 1) with
                     | Value _ -> step (cc + 1)
@@ -327,11 +327,11 @@ let run_interp t container ~event ~prof =
                     set_cond found
                 | Instr.Lru q ->
                     let* queue = Operand.read_queue ops q in
-                    let* found = complex_replace queue Page_queue.find_oldest in
+                    let* found = complex_replace queue Page_queue.oldest in
                     set_cond found
                 | Instr.Mru q ->
                     let* queue = Operand.read_queue ops q in
-                    let* found = complex_replace queue Page_queue.find_newest in
+                    let* found = complex_replace queue Page_queue.newest in
                     set_cond found
               end
             end

@@ -210,7 +210,7 @@ let container_queue_of_page container page =
           let ops = Container.operands container in
           let found = ref None in
           for ix = 0 to Operand.size - 1 do
-            if !found = None then
+            if Option.is_none !found then
               match Operand.get ops ix with
               | Some (Operand.Queue q) when Page_queue.id q = qid -> found := Some q
               | _ -> ()
@@ -259,7 +259,7 @@ let seize_one t container ~flush_dirty =
               let found = ref None in
               Vm_object.iter_resident
                 (fun ~offset:_ page ->
-                  if !found = None && not (Vm_page.wired page) then found := Some page)
+                  if Option.is_none !found && not (Vm_page.wired page) then found := Some page)
                 (Container.obj container);
               match !found with
               | Some page ->

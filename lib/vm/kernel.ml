@@ -406,7 +406,7 @@ let prefetch t obj ~offset =
       if
         off < Vm_object.size_pages obj
         && Vm_object.has_backing_data obj ~offset:off
-        && Vm_object.find_resident obj ~offset:off = None
+        && Option.is_none (Vm_object.find_resident obj ~offset:off)
         && Frame.Table.free_count t.frame_table > reserve
       then begin
         match Frame.Table.alloc t.frame_table with
@@ -521,7 +521,7 @@ let resolve_cow_write t task region ~vpn =
         (fun child ->
           if
             offset < Vm_object.size_pages child
-            && Vm_object.find_resident child ~offset = None
+            && Option.is_none (Vm_object.find_resident child ~offset)
           then begin
             let frame = default_pool_frame t task in
             let slot = Vm_page.create ~frame in

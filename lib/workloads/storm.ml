@@ -315,7 +315,7 @@ let run config =
   let honest_alive =
     List.length
       (List.filter
-         (fun tn -> tn.kind = Honest && tn.region <> None && Task.alive tn.task)
+         (fun tn -> tn.kind = Honest && Option.is_some tn.region && Task.alive tn.task)
          tenants)
   in
   (* settle the SLO books: burn per tenant, the over-budget count and

@@ -113,13 +113,121 @@ let test_queue_find_min_max () =
   List.iteri (fun i p -> Vm_page.touch p (T.us ((i * 7) mod 3 * 10 + i))) ps;
   List.iter (Page_queue.enqueue_tail q) ps;
   let by p = T.to_ns (Vm_page.last_access p) in
-  let mn = Option.get (Page_queue.find_min ~by q) in
-  let mx = Option.get (Page_queue.find_max ~by q) in
+  let mn = Option.get (Page_queue.find_oldest q) in
+  let mx = Option.get (Page_queue.find_newest q) in
   Page_queue.iter
     (fun p ->
       Alcotest.(check bool) "min is min" true (by mn <= by p);
       Alcotest.(check bool) "max is max" true (by mx >= by p))
-    q
+    q;
+  Alcotest.(check bool) "oldest is the scan's" true (Option.get (Page_queue.oldest q) == mn);
+  Alcotest.(check bool) "newest is the scan's" true (Option.get (Page_queue.newest q) == mx)
+
+(* The recency index must pick exactly the page the reference scans
+   pick, under every kind of queue traffic and every kind of touch:
+   later (the kernel's case), equal (ties broken by queue position) and
+   earlier.  [q1] is queried after every op, so its index is built
+   from the start and maintained incrementally; [q2] is only queried
+   when an op asks, so its index is built at a random point of its
+   history. *)
+let prop_recency_index_matches_scans =
+  let npages = 12 in
+  QCheck.Test.make ~name:"recency index agrees with the linear scans" ~count:300
+    QCheck.(list (quad (int_bound 8) bool (int_bound (npages - 1)) (int_bound 3)))
+    (fun ops ->
+      let q1 = Page_queue.create "q1" and q2 = Page_queue.create "q2" in
+      let ps = Array.of_list (pages npages) in
+      let now = ref 100 in
+      let same a b =
+        match (a, b) with Some x, Some y -> x == y | None, None -> true | _ -> false
+      in
+      let agrees q =
+        same (Page_queue.oldest q) (Page_queue.find_oldest q)
+        && same (Page_queue.newest q) (Page_queue.find_newest q)
+      in
+      (* the [k]-th page (cyclically) satisfying [pred], if any *)
+      let pick pred k =
+        let rec go i =
+          if i = npages then None
+          else
+            let p = ps.((k + i) mod npages) in
+            if pred p then Some p else go (i + 1)
+        in
+        go 0
+      in
+      let off p = Vm_page.on_queue p = None in
+      let ok = ref true in
+      List.iter
+        (fun (kind, first, k, d) ->
+          let q = if first then q1 else q2 and other = if first then q2 else q1 in
+          (match kind with
+          | 0 -> Option.iter (Page_queue.enqueue_head q) (pick off k)
+          | 1 -> Option.iter (Page_queue.enqueue_tail q) (pick off k)
+          | 2 -> Option.iter (Page_queue.remove q) (pick (Page_queue.mem q) k)
+          | 3 -> ignore (Page_queue.dequeue_head q)
+          | 4 -> ignore (Page_queue.dequeue_tail q)
+          | 5 ->
+              Option.iter
+                (fun p ->
+                  Page_queue.remove q p;
+                  if d land 1 = 0 then Page_queue.enqueue_tail other p
+                  else Page_queue.enqueue_head other p)
+                (pick (Page_queue.mem q) k)
+          | 6 | 7 ->
+              let at =
+                match d with
+                | 0 -> !now
+                | 1 | 2 ->
+                    now := !now + d;
+                    !now
+                | _ -> !now / 2
+              in
+              Vm_page.touch ps.(k) (T.ns at)
+          | _ -> if not (agrees q2) then ok := false);
+          if not (agrees q1 && Page_queue.check_invariants q1 && Page_queue.check_invariants q2)
+          then ok := false)
+        ops;
+      !ok && agrees q2 && Page_queue.check_invariants q2)
+
+(* At a scale where a per-fault scan would show: 100k MRU and 100k LRU
+   evict/refill cycles on a 50k-page queue, each with a kernel touch of
+   a random member.  Scanning victims would visit about 5e9 pages. *)
+let test_queue_victims_at_scale () =
+  let n = 50_000 and cycles = 100_000 in
+  let tbl = Frame.Table.create ~total:n in
+  let q = Page_queue.create "scale" in
+  let ps = Array.init n (fun i -> Vm_page.create ~frame:(Frame.Table.get tbl i)) in
+  let now = ref 0 in
+  let tick () =
+    incr now;
+    T.ns !now
+  in
+  Array.iter
+    (fun p ->
+      Vm_page.touch p (tick ());
+      Page_queue.enqueue_tail q p)
+    ps;
+  let rng = Random.State.make [| 12 |] in
+  let run select =
+    for _ = 1 to cycles do
+      Vm_page.touch ps.(Random.State.int rng n) (tick ());
+      let victim = Option.get (select q) in
+      Page_queue.remove q victim;
+      Vm_page.touch victim (tick ());
+      Page_queue.enqueue_tail q victim
+    done
+  in
+  let t0 = Sys.time () in
+  run Page_queue.newest;
+  run Page_queue.oldest;
+  let elapsed = Sys.time () -. t0 in
+  Alcotest.(check int) "length kept" n (Page_queue.length q);
+  Alcotest.(check bool) "invariants" true (Page_queue.check_invariants q);
+  Alcotest.(check bool) "oldest agrees" true
+    (Option.get (Page_queue.oldest q) == Option.get (Page_queue.find_oldest q));
+  Alcotest.(check bool) "newest agrees" true
+    (Option.get (Page_queue.newest q) == Option.get (Page_queue.find_newest q));
+  if elapsed > 2.0 then Alcotest.failf "200k victim cycles took %.2f s of CPU" elapsed
 
 (* ------------------------------------------------------------------ *)
 (* Vm_object                                                           *)
@@ -130,7 +238,8 @@ let test_object_connect_disconnect () =
   let p = make_page () in
   Vm_object.connect obj p ~offset:4;
   Alcotest.(check int) "resident" 1 (Vm_object.resident_count obj);
-  Alcotest.(check bool) "found" true (Vm_object.find_resident obj ~offset:4 = Some p);
+  Alcotest.(check bool) "found" true
+    (match Vm_object.find_resident obj ~offset:4 with Some r -> r == p | None -> false);
   Vm_object.disconnect obj p;
   Alcotest.(check int) "gone" 0 (Vm_object.resident_count obj);
   Alcotest.(check bool) "unbound" false (Vm_page.is_bound p)
@@ -438,7 +547,7 @@ let test_cow_source_write_pushes_first () =
   Kernel.access_vpn k task ~vpn:src.Vm_map.start_vpn ~write:true;
   Alcotest.(check int) "one push" 1 (Kernel.stats k).Kernel.cow_pushes;
   Alcotest.(check bool) "child holds its snapshot page" true
-    (Vm_object.find_resident copy.Vm_map.obj ~offset:0 <> None);
+    (Option.is_some (Vm_object.find_resident copy.Vm_map.obj ~offset:0));
   (* the copy's later touch is a soft fault, not another copy *)
   Kernel.access_vpn k task ~vpn:copy.Vm_map.start_vpn ~write:false;
   Alcotest.(check int) "no duplicate copy" 0 (Kernel.stats k).Kernel.cow_copies;
@@ -673,6 +782,7 @@ let () =
           Alcotest.test_case "exclusivity" `Quick test_queue_exclusivity;
           Alcotest.test_case "remove middle" `Quick test_queue_remove_middle;
           Alcotest.test_case "find min/max" `Quick test_queue_find_min_max;
+          Alcotest.test_case "victims at scale" `Quick test_queue_victims_at_scale;
         ] );
       ( "vm_object",
         [
@@ -731,5 +841,11 @@ let () =
           Alcotest.test_case "respects reserve" `Quick test_readahead_respects_reserve;
           Alcotest.test_case "skips hipec regions" `Quick test_readahead_skips_hipec_regions;
         ] );
-      ("properties", qc [ prop_queue_ops_keep_invariants; prop_faults_bounded_by_accesses ]);
+      ( "properties",
+        qc
+          [
+            prop_queue_ops_keep_invariants;
+            prop_recency_index_matches_scans;
+            prop_faults_bounded_by_accesses;
+          ] );
     ]
