@@ -145,20 +145,7 @@ let check_cmd =
 (* lint: the abstract-interpretation rule set                          *)
 (* ------------------------------------------------------------------ *)
 
-let builtin_policy = function
-  | "fifo" -> Some (Policies.fifo (), [])
-  | "lru" -> Some (Policies.lru (), [])
-  | "mru" -> Some (Policies.mru (), [])
-  | "clock" -> Some (Policies.clock (), [])
-  | "second-chance" -> Some (Policies.fifo_second_chance (), [])
-  | "adaptive" -> Some (Policies.adaptive (), Policies.adaptive_operands ())
-  | "greedy" -> Some (Policies.greedy_request ~flavour:`Fifo ~chunk:4, [])
-  | "looping" -> Some (Policies.looping (), [])
-  | "returns-garbage" -> Some (Policies.returns_garbage (), [])
-  | _ -> None
-
-let builtin_names =
-  "fifo|lru|mru|clock|second-chance|adaptive|greedy|looping|returns-garbage"
+let builtin_names = String.concat "|" Policies.builtin_names
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -197,7 +184,7 @@ let lint_cmd =
                 out.Hipec_pseudoc.Codegen.extra_operands ))
             (Hipec_pseudoc.Translate.translate (read_file f))
       | None, Some name -> (
-          match builtin_policy name with
+          match Policies.builtin name with
           | Some p -> Ok p
           | None -> Error (Printf.sprintf "unknown builtin %S (%s)" name builtin_names))
     in
@@ -340,10 +327,12 @@ let disassemble_cmd =
     (Cmd.info "disassemble" ~doc:"Print a Table 2-style listing of a binary command buffer.")
     Term.(const run $ file)
 
+let pattern_doc = String.concat "|" Trace_run.pattern_names ^ "."
+let policy_names = String.concat "|" Trace_run.policy_names
+
 let advise_cmd =
   let pattern =
-    Arg.(value & opt string "cyclic"
-        & info [ "pattern" ] ~docv:"P" ~doc:"cyclic|sequential|random|zipf|phased.")
+    Arg.(value & opt string "cyclic" & info [ "pattern" ] ~docv:"P" ~doc:pattern_doc)
   in
   let npages = Arg.(value & opt int 256 & info [ "pages" ] ~docv:"N" ~doc:"Region pages.") in
   let frames = Arg.(value & opt int 64 & info [ "frames" ] ~docv:"N" ~doc:"Frame budget.") in
@@ -353,18 +342,14 @@ let advise_cmd =
       Printf.eprintf "--pages, --frames and --count must be >= 1\n";
       exit 2
     end;
-    let rng = Hipec_sim.Rng.create ~seed:23 in
     let trace =
-      match pattern with
-      | "cyclic" -> Access_trace.cyclic ~npages ~loops:(max 1 (count / npages)) ~write:false
-      | "sequential" -> Access_trace.sequential ~npages ~write:false
-      | "random" -> Access_trace.uniform_random rng ~npages ~count ~write_ratio:0.3
-      | "zipf" -> Access_trace.zipf rng ~npages ~count ~theta:0.99 ~write_ratio:0.3
-      | "phased" ->
-          Access_trace.working_set_phases rng ~npages ~phases:6 ~phase_len:(count / 6)
-            ~ws_pages:(max 1 (frames / 2))
-      | p ->
-          Printf.eprintf "unknown pattern %S\n" p;
+      match
+        Trace_run.build_trace
+          { Trace_run.default_policy_cfg with pattern; npages; frames; count; seed = 23 }
+      with
+      | Ok trace -> trace
+      | Error e ->
+          Printf.eprintf "%s\n" e;
           exit 2
     in
     Printf.printf "offline replacement simulation: %d pages, %d frames, %d accesses\n\n"
@@ -528,8 +513,7 @@ module Sp = Hipec_trace.Span
 
 let trace_run_cmd =
   let pattern =
-    Arg.(value & opt string "cyclic"
-        & info [ "pattern" ] ~docv:"P" ~doc:"cyclic|sequential|random|zipf.")
+    Arg.(value & opt string "cyclic" & info [ "pattern" ] ~docv:"P" ~doc:pattern_doc)
   in
   let npages = Arg.(value & opt int 256 & info [ "pages" ] ~docv:"N" ~doc:"Region pages.") in
   let frames =
@@ -545,16 +529,14 @@ let trace_run_cmd =
       Printf.eprintf "--pages, --frames and --count must be >= 1\n";
       exit 2
     end;
-    let rng = Hipec_sim.Rng.create ~seed:17 in
     let trace =
-      match pattern with
-      | "cyclic" ->
-          Access_trace.cyclic ~npages ~loops:(max 1 (count / npages)) ~write:false
-      | "sequential" -> Access_trace.sequential ~npages ~write:false
-      | "random" -> Access_trace.uniform_random rng ~npages ~count ~write_ratio:0.3
-      | "zipf" -> Access_trace.zipf rng ~npages ~count ~theta:0.99 ~write_ratio:0.3
-      | p ->
-          Printf.eprintf "unknown pattern %S\n" p;
+      match
+        Trace_run.build_trace
+          { Trace_run.default_policy_cfg with pattern; npages; frames; count }
+      with
+      | Ok trace -> trace
+      | Error e ->
+          Printf.eprintf "%s\n" e;
           exit 2
     in
     let spec =
@@ -620,8 +602,7 @@ let scenario_args =
   in
   let pattern =
     Arg.(value & opt string Trace_run.default_policy_cfg.Trace_run.pattern
-        & info [ "pattern" ] ~docv:"P"
-            ~doc:"cyclic|sequential|reverse|strided|random|zipf|phased.")
+        & info [ "pattern" ] ~docv:"P" ~doc:pattern_doc)
   in
   let npages =
     Arg.(value & opt int Trace_run.default_policy_cfg.Trace_run.npages
@@ -633,7 +614,7 @@ let scenario_args =
   in
   let policy =
     Arg.(value & opt string Trace_run.default_policy_cfg.Trace_run.policy
-        & info [ "policy" ] ~docv:"NAME" ~doc:"fifo|lru|mru|clock|second-chance.")
+        & info [ "policy" ] ~docv:"NAME" ~doc:(policy_names ^ "."))
   in
   let count =
     Arg.(value & opt int Trace_run.default_policy_cfg.Trace_run.count
@@ -1263,6 +1244,15 @@ let storm_cmd =
           (match fuel_quota with Some q -> Some q | None -> base.Storm.fuel_quota);
       }
     in
+    (* the last late_tenants admissions arrive behind the hog and are
+       shed: a storm no larger than that would admit nobody *)
+    if config.Storm.tenants <= config.Storm.late_tenants then begin
+      Printf.eprintf
+        "--tenants must exceed the config's late_tenants (%d), or every tenant is \
+         shed\n"
+        config.Storm.late_tenants;
+      exit 2
+    end;
     let r = Storm.run config in
     Format.printf "%a@.@." Storm.pp_result r;
     print_endline r.Storm.kstat;
@@ -1304,16 +1294,12 @@ let adversary_config_term =
             | None ->
                 Error
                   (`Msg
-                    (Printf.sprintf
-                       "unknown policy %S \
-                        (fifo|lru|mru|clock|second-chance|adaptive)"
-                       s))),
+                    (Printf.sprintf "unknown policy %S (%s)" s policy_names))),
           Format.pp_print_string )
     in
     Arg.(value & opt (some known) None
         & info [ "policy" ] ~docv:"NAME"
-            ~doc:"Policy to attack: fifo|lru|mru|clock|second-chance|adaptive \
-                  (default fifo).")
+            ~doc:(Printf.sprintf "Policy to attack: %s (default fifo)." policy_names))
   in
   let seed =
     Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"N" ~doc:"Search seed.")
@@ -1500,14 +1486,7 @@ let adversary_replay_cmd =
               let frames =
                 Option.bind (Tr.Recorded.meta_find r "frames") int_of_string_opt
               in
-              let faults =
-                Array.fold_left
-                  (fun n ev ->
-                    match ev.Ev.payload with
-                    | Ev.Fault { kind = Ev.Hipec; _ } -> n + 1
-                    | _ -> n)
-                  0 r.Tr.Recorded.events
-              in
+              let faults = Trace_run.hipec_faults r in
               let ok =
                 List.for_all
                   (fun b -> replay_on b path r)

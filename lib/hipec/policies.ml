@@ -321,3 +321,22 @@ let returns_garbage () =
     [
       (Events.page_fault, assemble code); (Events.reclaim_frame, assemble std_reclaim);
     ]
+
+(* The one name -> policy table.  Each entry is a thunk so every lookup
+   builds a fresh program and fresh user-operand refs (the adaptive
+   policy's state lives in them). *)
+let builtins =
+  [
+    ("fifo", fun () -> (fifo (), []));
+    ("lru", fun () -> (lru (), []));
+    ("mru", fun () -> (mru (), []));
+    ("clock", fun () -> (clock (), []));
+    ("second-chance", fun () -> (fifo_second_chance (), []));
+    ("adaptive", fun () -> (adaptive (), adaptive_operands ()));
+    ("greedy", fun () -> (greedy_request ~flavour:`Fifo ~chunk:4, []));
+    ("looping", fun () -> (looping (), []));
+    ("returns-garbage", fun () -> (returns_garbage (), []));
+  ]
+
+let builtin_names = List.map fst builtins
+let builtin name = Option.map (fun make -> make ()) (List.assoc_opt name builtins)

@@ -84,3 +84,15 @@ val looping : unit -> Program.t
 val returns_garbage : unit -> Program.t
 (** A policy whose [PageFault] returns an integer instead of a page —
     exercises the kill-on-bad-policy path. *)
+
+(** {2 Policies by name} *)
+
+val builtin_names : string list
+(** ["fifo"; "lru"; "mru"; "clock"; "second-chance"; "adaptive";
+    "greedy"; "looping"; "returns-garbage"] — [greedy] is
+    [greedy_request ~flavour:`Fifo ~chunk:4]. *)
+
+val builtin : string -> (Program.t * (int * Operand.value) list) option
+(** The program named by one of {!builtin_names} with the user operands
+    its spec must declare ([extra_operands]; only [adaptive] has any).
+    Every call builds a fresh program and fresh operand refs. *)

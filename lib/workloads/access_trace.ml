@@ -1,7 +1,7 @@
 open Hipec_sim
 open Hipec_vm
 
-type access = { page : int; write : bool }
+type access = Hipec_trace.Oracle.access = { page : int; write : bool }
 
 let sequential ~npages ~write = Array.init npages (fun page -> { page; write })
 

@@ -7,7 +7,9 @@
 open Hipec_sim
 open Hipec_vm
 
-type access = { page : int; write : bool }
+type access = Hipec_trace.Oracle.access = { page : int; write : bool }
+(** The reference models' access type, so a generated or recorded trace
+    feeds {!Hipec_trace.Oracle} and {!Policy_sim} directly. *)
 
 val sequential : npages:int -> write:bool -> access array
 (** One pass, page 0 .. npages-1. *)

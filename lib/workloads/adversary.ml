@@ -1,5 +1,4 @@
 open Hipec_sim
-open Hipec_vm
 open Hipec_core
 open Hipec_trace
 module Oracle = Hipec_trace.Oracle
@@ -221,7 +220,7 @@ let search config =
 (* End-to-end confirmation through the real executor                   *)
 (* ------------------------------------------------------------------ *)
 
-type executor_run = { x_faults : int; x_digest : int64; x_events : int }
+type executor_run = { x_faults : int; x_digest : int64 }
 
 let npages_of w =
   1 + Array.fold_left (fun m (a : Oracle.access) -> max m a.Oracle.page) 0 w.w_accesses
@@ -231,59 +230,19 @@ let with_backend backend f =
   Executor.set_default_backend backend;
   Fun.protect ~finally:(fun () -> Executor.set_default_backend saved) f
 
-(* Replay [accesses] against a real kernel under [policy]/[frames] with
-   a storing collector installed; the digest covers the entire event
-   stream (faults, pageins, policy runs, evictions), so two backends
-   agreeing here agree on every observable step. *)
-let run_executor ~backend ~policy ~frames ~npages accesses =
-  with_backend backend (fun () ->
-      let c = Trace.start ~store:true () in
-      let finish () = ignore (Trace.stop ()) in
-      match
-        match Trace_run.spec_of_policy_name policy ~min_frames:frames with
-        | None -> Error (Printf.sprintf "unknown policy %S" policy)
-        | Some spec ->
-            let config =
-              {
-                Kernel.default_config with
-                Kernel.total_frames = max 256 (4 * frames);
-                hipec_kernel = true;
-              }
-            in
-            let k = Kernel.create ~config () in
-            let sys = Api.init ~start_checker:false k in
-            let task = Kernel.create_task k ~name:"adversary" () in
-            Result.map
-              (fun (region, _container) ->
-                Array.iter
-                  (fun { Oracle.page; write } ->
-                    Kernel.access_vpn k task ~vpn:(region.Vm_map.start_vpn + page)
-                      ~write)
-                  accesses;
-                Kernel.drain_io k)
-              (Api.vm_map_hipec sys task ~name:"adversary-data" ~npages spec)
-      with
-      | exception e ->
-          finish ();
-          raise e
-      | Error _ as e ->
-          finish ();
-          e
-      | Ok () ->
-          finish ();
-          let faults = ref 0 in
-          Array.iter
-            (fun ev ->
-              match ev.Event.payload with
-              | Event.Fault { kind = Event.Hipec; _ } -> incr faults
-              | _ -> ())
-            (Trace.events c);
-          Ok
-            {
-              x_faults = !faults;
-              x_digest = Trace.digest c;
-              x_events = Trace.events_seen c;
-            })
+(* The policy-scenario metadata a recorded witness carries; confirm and
+   record_witness both run the witness through this machine. *)
+let witness_cfg w ~frames =
+  {
+    Trace_run.pattern = "adversary";
+    npages = npages_of w;
+    frames;
+    policy = w.w_policy;
+    count = Array.length w.w_accesses;
+    seed = 0;
+  }
+
+let record_witness w ~frames = Trace_run.record_accesses (witness_cfg w ~frames) w.w_accesses
 
 type confirmed_level = {
   cl_frames : int;
@@ -311,18 +270,21 @@ let anomaly_holds c = c.c_hi.cl_interp.x_faults > c.c_lo.cl_interp.x_faults
 
 let confirmed c = backends_agree c && matches_oracle c && anomaly_holds c
 
+(* The recording's digest covers the entire event stream (faults,
+   pageins, policy runs, evictions), so two backends agreeing here agree
+   on every observable step. *)
+let run_backend backend w ~frames =
+  with_backend backend (fun () ->
+      Result.map
+        (fun r ->
+          { x_faults = Trace_run.hipec_faults r; x_digest = r.Trace.Recorded.digest })
+        (record_witness w ~frames))
+
 let confirm w =
   let ( let* ) = Result.bind in
-  let npages = npages_of w in
   let level ~frames ~oracle_faults =
-    let* interp =
-      run_executor ~backend:Executor.Interp ~policy:w.w_policy ~frames ~npages
-        w.w_accesses
-    in
-    let* compiled =
-      run_executor ~backend:Executor.Compiled ~policy:w.w_policy ~frames ~npages
-        w.w_accesses
-    in
+    let* interp = run_backend Executor.Interp w ~frames in
+    let* compiled = run_backend Executor.Compiled w ~frames in
     Ok
       {
         cl_frames = frames;
@@ -334,19 +296,3 @@ let confirm w =
   let* lo = level ~frames:w.w_frames_lo ~oracle_faults:w.w_faults_lo in
   let* hi = level ~frames:w.w_frames_hi ~oracle_faults:w.w_faults_hi in
   Ok { c_witness = w; c_lo = lo; c_hi = hi }
-
-(* ------------------------------------------------------------------ *)
-(* Golden regression recording                                         *)
-(* ------------------------------------------------------------------ *)
-
-let witness_cfg w ~frames =
-  {
-    Trace_run.pattern = "adversary";
-    npages = npages_of w;
-    frames;
-    policy = w.w_policy;
-    count = Array.length w.w_accesses;
-    seed = 0;
-  }
-
-let record_witness w ~frames = Trace_run.record_accesses (witness_cfg w ~frames) w.w_accesses

@@ -6,10 +6,13 @@
     stack algorithms like LRU.  The search engine scores candidate
     traces against the pure oracles in {!Hipec_trace.Oracle} (no kernel
     in the loop), climbs by seeded mutation, and then {!confirm}s any
-    witness end-to-end through the real executor on {e both} backends,
-    requiring bit-identical trace digests and oracle-exact fault
-    counts.  Everything is driven by one splitmix64 stream: a seed
-    reproduces the whole search. *)
+    witness end-to-end by recording it through the real executor on
+    {e both} backends, requiring bit-identical trace digests and
+    oracle-exact fault counts.  The kernel replay is
+    {!Trace_run.record_accesses}, the same harness that writes a
+    witness's [.trace] regression files, so a confirmed digest is the
+    digest {!record_witness} pins.  Everything is driven by one
+    splitmix64 stream: a seed reproduces the whole search. *)
 
 module Oracle = Hipec_trace.Oracle
 
@@ -65,7 +68,10 @@ val search : config -> outcome
 
 (** {2 End-to-end confirmation} *)
 
-type executor_run = { x_faults : int; x_digest : int64; x_events : int }
+type executor_run = {
+  x_faults : int;  (** HiPEC faults in the recording *)
+  x_digest : int64;  (** the recording's digest *)
+}
 
 type confirmed_level = {
   cl_frames : int;
@@ -81,8 +87,9 @@ type confirmation = {
 }
 
 val confirm : witness -> (confirmation, string) result
-(** Replay the witness through a real kernel at both frame counts under
-    both executor backends, with a storing trace collector installed. *)
+(** {!record_witness} at both frame counts under each executor backend;
+    a confirmed witness's digest at each grant is the one
+    {!record_witness} pins. *)
 
 val backends_agree : confirmation -> bool
 (** Interp and Compiled produced bit-identical trace digests at both
@@ -96,16 +103,6 @@ val anomaly_holds : confirmation -> bool
 
 val confirmed : confirmation -> bool
 (** All three of the above. *)
-
-val run_executor :
-  backend:Hipec_core.Executor.backend ->
-  policy:string ->
-  frames:int ->
-  npages:int ->
-  Oracle.access array ->
-  (executor_run, string) result
-(** One kernel replay of an access array (pages region-relative) under
-    a named policy — the primitive [confirm] is built from. *)
 
 (** {2 Golden regression recording} *)
 

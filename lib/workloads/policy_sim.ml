@@ -1,3 +1,5 @@
+module Oracle = Hipec_trace.Oracle
+
 type policy = Fifo | Lru | Mru | Clock | Opt
 
 let policy_name = function
@@ -8,103 +10,6 @@ let policy_name = function
   | Opt -> "OPT"
 
 let all_policies = [ Fifo; Lru; Mru; Clock; Opt ]
-
-(* ------------------------------------------------------------------ *)
-(* Online policies over a simple resident-set model                    *)
-(* ------------------------------------------------------------------ *)
-
-(* State per resident page: the policy-specific rank used to pick a
-   victim (max rank evicted for MRU, min for the others). *)
-type cache = {
-  frames : int;
-  resident : (int, int ref) Hashtbl.t;  (* page -> rank cell *)
-  mutable tick : int;
-}
-
-let make_cache frames = { frames; resident = Hashtbl.create 64; tick = 0 }
-
-let evict_by cache ~largest =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun page rank ->
-      match !victim with
-      | None -> victim := Some (page, !rank)
-      | Some (_, best) ->
-          if (largest && !rank > best) || ((not largest) && !rank < best) then
-            victim := Some (page, !rank))
-    cache.resident;
-  match !victim with
-  | Some (page, _) -> Hashtbl.remove cache.resident page
-  | None -> invalid_arg "Policy_sim: evict from empty cache"
-
-let simulate_ranked ~frames ~on_hit ~evict_largest trace =
-  let cache = make_cache frames in
-  let faults = ref 0 in
-  Array.iter
-    (fun { Access_trace.page; _ } ->
-      cache.tick <- cache.tick + 1;
-      match Hashtbl.find_opt cache.resident page with
-      | Some rank -> on_hit cache rank
-      | None ->
-          incr faults;
-          if Hashtbl.length cache.resident >= cache.frames then
-            evict_by cache ~largest:evict_largest;
-          Hashtbl.replace cache.resident page (ref cache.tick))
-    trace;
-  !faults
-
-let fifo ~frames trace =
-  (* rank = arrival tick, never updated; evict smallest *)
-  simulate_ranked ~frames ~on_hit:(fun _ _ -> ()) ~evict_largest:false trace
-
-let lru ~frames trace =
-  simulate_ranked ~frames
-    ~on_hit:(fun cache rank -> rank := cache.tick)
-    ~evict_largest:false trace
-
-let mru ~frames trace =
-  simulate_ranked ~frames
-    ~on_hit:(fun cache rank -> rank := cache.tick)
-    ~evict_largest:true trace
-
-(* CLOCK / second chance: a circular scan over resident pages with a
-   reference bit set on every hit. *)
-let clock ~frames trace =
-  let ring = Array.make frames (-1) in
-  let referenced = Array.make frames false in
-  let where = Hashtbl.create 64 in
-  let hand = ref 0 in
-  let used = ref 0 in
-  let faults = ref 0 in
-  let advance () = hand := (!hand + 1) mod frames in
-  Array.iter
-    (fun { Access_trace.page; _ } ->
-      match Hashtbl.find_opt where page with
-      | Some slot -> referenced.(slot) <- true
-      | None ->
-          incr faults;
-          let slot =
-            if !used < frames then begin
-              let s = !used in
-              incr used;
-              s
-            end
-            else begin
-              while referenced.(!hand) do
-                referenced.(!hand) <- false;
-                advance ()
-              done;
-              let s = !hand in
-              advance ();
-              s
-            end
-          in
-          if ring.(slot) >= 0 then Hashtbl.remove where ring.(slot);
-          ring.(slot) <- page;
-          referenced.(slot) <- false;
-          Hashtbl.replace where page slot)
-    trace;
-  !faults
 
 (* ------------------------------------------------------------------ *)
 (* Belady's OPT                                                        *)
@@ -150,11 +55,12 @@ let opt ~frames trace =
 
 let faults policy ~frames trace =
   if frames <= 0 then invalid_arg "Policy_sim.faults: frames <= 0";
+  let model m = (m ~frames trace).Oracle.faults in
   match policy with
-  | Fifo -> fifo ~frames trace
-  | Lru -> lru ~frames trace
-  | Mru -> mru ~frames trace
-  | Clock -> clock ~frames trace
+  | Fifo -> model Oracle.fifo
+  | Lru -> model Oracle.lru
+  | Mru -> model Oracle.mru
+  | Clock -> model Oracle.clock
   | Opt -> opt ~frames trace
 
 let sweep ~frames trace =

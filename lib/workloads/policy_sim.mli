@@ -1,10 +1,12 @@
-(** Offline (trace-driven) replacement simulation.
+(** Offline (trace-driven) replacement simulation and policy advice.
 
-    Replays an access trace against an idealized cache of [frames]
-    slots under classic policies, including Belady's optimal — the
-    yardstick no online policy can beat.  Used to sanity-check the live
-    kernel's fault counts and to advise which HiPEC policy fits a
-    trace (what the paper expects the specific-application designer to
+    FIFO, LRU, MRU and CLOCK fault counts come from the pure reference
+    models in {!Hipec_trace.Oracle} — the same models the differential
+    suite pins the real executor to, so a count here is the count the
+    kernel running the matching {!Hipec_core.Policies} program produces.
+    Belady's optimal (OPT), the yardstick no online policy can beat, is
+    simulated here.  Used to advise which HiPEC policy fits a trace
+    (what the paper expects the specific-application designer to
     know). *)
 
 type policy = Fifo | Lru | Mru | Clock | Opt

@@ -30,27 +30,6 @@ let scenario_of_name = function
   | name when List.mem name named_scenarios -> Some (Named name)
   | _ -> None
 
-let policy_of_name = function
-  | "fifo" -> Some (Policies.fifo ())
-  | "lru" -> Some (Policies.lru ())
-  | "mru" -> Some (Policies.mru ())
-  | "clock" -> Some (Policies.clock ())
-  | "second-chance" -> Some (Policies.fifo_second_chance ())
-  | "adaptive" -> Some (Policies.adaptive ())
-  | _ -> None
-
-(* The adaptive policy carries private state (score/threshold/cap) in
-   user operand slots, so its spec declares them; the refs must be
-   fresh per install. *)
-let spec_of_policy_name name ~min_frames =
-  match policy_of_name name with
-  | None -> None
-  | Some program ->
-      let spec = Api.default_spec ~policy:program ~min_frames in
-      if String.equal name "adaptive" then
-        Some { spec with Api.extra_operands = Policies.adaptive_operands () }
-      else Some spec
-
 let build_trace cfg =
   let rng = Rng.create ~seed:cfg.seed in
   let npages = cfg.npages and count = cfg.count in
@@ -74,9 +53,16 @@ let build_trace cfg =
    be a pure function of [cfg] — record and replay both call it and any
    divergence shows up as a digest mismatch. *)
 let setup_policy cfg =
-  match spec_of_policy_name cfg.policy ~min_frames:cfg.frames with
+  match
+    if List.mem cfg.policy policy_names then Policies.builtin cfg.policy else None
+  with
   | None -> Error (Printf.sprintf "unknown policy %S" cfg.policy)
-  | Some spec ->
+  | Some (policy, extra_operands) ->
+      (* the adaptive policy keeps its state in user operands, which the
+         spec must declare; [Policies.builtin] makes fresh refs per call *)
+      let spec =
+        { (Api.default_spec ~policy ~min_frames:cfg.frames) with Api.extra_operands }
+      in
       let config =
         {
           Kernel.default_config with
@@ -119,17 +105,14 @@ let collect f =
   ignore (Trace.stop ());
   Result.map (fun meta -> Trace.Recorded.of_collector c ~meta) result
 
-let record_policy cfg =
-  match build_trace cfg with
-  | Error _ as e -> e
-  | Ok trace ->
-      collect (fun () ->
-          Result.map
-            (fun (k, task, region) ->
-              Access_trace.replay k task region trace;
-              Kernel.drain_io k;
-              ("start_vpn", string_of_int region.Vm_map.start_vpn) :: policy_meta cfg)
-            (setup_policy cfg))
+(* Replay [trace] on [cfg]'s fresh machine; returns the data region. *)
+let drive cfg trace =
+  Result.map
+    (fun (k, task, region) ->
+      Access_trace.replay k task region trace;
+      Kernel.drain_io k;
+      region)
+    (setup_policy cfg)
 
 (* Record an explicit access array under [cfg]'s machine instead of a
    generated pattern — adversary witnesses are recorded this way, with
@@ -139,14 +122,17 @@ let record_policy cfg =
 let record_accesses cfg accesses =
   collect (fun () ->
       Result.map
-        (fun (k, task, region) ->
-          Array.iter
-            (fun { Hipec_trace.Oracle.page; write } ->
-              Kernel.access_vpn k task ~vpn:(region.Vm_map.start_vpn + page) ~write)
-            accesses;
-          Kernel.drain_io k;
+        (fun region ->
           ("start_vpn", string_of_int region.Vm_map.start_vpn) :: policy_meta cfg)
-        (setup_policy cfg))
+        (drive cfg accesses))
+
+let record_policy cfg = Result.bind (build_trace cfg) (record_accesses cfg)
+
+let hipec_faults (recorded : Trace.Recorded.t) =
+  Array.fold_left
+    (fun n (ev : Event.t) ->
+      match ev.Event.payload with Event.Fault { kind = Event.Hipec; _ } -> n + 1 | _ -> n)
+    0 recorded.Trace.Recorded.events
 
 let run_named name =
   match name with
@@ -186,15 +172,9 @@ let record = function
 (* Run a scenario without touching the trace sink: [hipec stat] and the
    bench harness install a metrics registry around this instead. *)
 let run_scenario = function
-  | Policy cfg -> (
-      match build_trace cfg with
-      | Error _ as e -> e
-      | Ok trace ->
-          Result.map
-            (fun (k, task, region) ->
-              Access_trace.replay k task region trace;
-              Kernel.drain_io k)
-            (setup_policy cfg))
+  | Policy cfg ->
+      Result.bind (build_trace cfg) (fun trace ->
+          Result.map (fun (_ : Vm_map.region) -> ()) (drive cfg trace))
   | Named name -> Result.map (fun (_ : (string * string) list) -> ()) (run_named name)
 
 type replay_outcome = {

@@ -16,7 +16,7 @@ type policy_cfg = {
   pattern : string;  (** cyclic|sequential|reverse|strided|random|zipf|phased *)
   npages : int;
   frames : int;  (** the container's [minFrame] *)
-  policy : string;  (** fifo|lru|mru|clock|second-chance *)
+  policy : string;  (** fifo|lru|mru|clock|second-chance|adaptive *)
   count : int;
   seed : int;
 }
@@ -25,7 +25,13 @@ val default_policy_cfg : policy_cfg
 (** cyclic, 256 pages, 128 frames, mru, 4096 accesses, seed 17. *)
 
 val pattern_names : string list
+
 val policy_names : string list
+(** The six policies {!Hipec_trace.Oracle.of_policy_name} models. *)
+
+val build_trace : policy_cfg -> (Oracle.access array, string) result
+(** The access trace [cfg.pattern] names, drawn from [cfg.seed]
+    ([cfg.policy] plays no part).  [Error] on an unknown pattern. *)
 
 type scenario = Policy of policy_cfg | Named of string
 
@@ -36,17 +42,16 @@ val named_scenarios : string list
 val scenario_of_name : string -> scenario option
 (** Resolves a named scenario, or ["policy"] to {!default_policy_cfg}. *)
 
-val spec_of_policy_name : string -> min_frames:int -> Hipec_core.Api.spec option
-(** The container spec [setup] installs for a named policy —
-    [Api.default_spec], plus the adaptive policy's user operands
-    (fresh refs per call). *)
-
 val record_accesses :
   policy_cfg -> Oracle.access array -> (Trace.Recorded.t, string) result
 (** Record an explicit access array (pages are region-relative) run
     under [cfg]'s machine — how adversary witnesses become [.trace]
     regression files.  [cfg.pattern] is provenance only; [replay]
     re-drives the recorded access events and never regenerates it. *)
+
+val hipec_faults : Trace.Recorded.t -> int
+(** The recording's HiPEC-policy faults ([Fault] events of kind
+    [Hipec]). *)
 
 val record : scenario -> (Trace.Recorded.t, string) result
 (** Run the scenario under a fresh storing collector.  Any previously

@@ -72,6 +72,35 @@ let test_confirm_witness_end_to_end () =
         (A.anomaly_holds c);
       Alcotest.(check bool) "confirmed" true (A.confirmed c)
 
+let test_confirm_digest_is_recorded_digest () =
+  (* confirm replays through the recording harness, so at each grant
+     its digest is the one record_witness pins *)
+  let w =
+    {
+      A.w_policy = "fifo";
+      w_frames_lo = 3;
+      w_frames_hi = 4;
+      w_faults_lo = 9;
+      w_faults_hi = 10;
+      w_accesses = A.classic_belady;
+    }
+  in
+  match A.confirm w with
+  | Error e -> Alcotest.fail e
+  | Ok c ->
+      List.iter
+        (fun (l : A.confirmed_level) ->
+          match A.record_witness w ~frames:l.A.cl_frames with
+          | Error e -> Alcotest.fail e
+          | Ok r ->
+              let hex = Hipec_trace.Trace.digest_hex in
+              Alcotest.(check string)
+                (Printf.sprintf "%d frames" l.A.cl_frames)
+                (hex r.Hipec_trace.Trace.Recorded.digest)
+                (hex l.A.cl_interp.A.x_digest))
+        [ c.A.c_lo; c.A.c_hi ];
+      Alcotest.(check bool) "confirmed" true (A.confirmed c)
+
 let test_adaptive_resists_same_budget () =
   let o = A.search { A.smoke with A.policy = "adaptive" } in
   Alcotest.(check bool)
@@ -118,6 +147,8 @@ let () =
             test_confirm_witness_end_to_end;
           Alcotest.test_case "record/replay roundtrip" `Quick
             test_record_replay_roundtrip;
+          Alcotest.test_case "digests match record_witness" `Quick
+            test_confirm_digest_is_recorded_digest;
         ] );
       ( "adaptive",
         [

@@ -57,14 +57,6 @@ let load_trace name =
   | Ok r -> r
   | Error e -> Alcotest.failf "%s: %s" (trace_path name) e
 
-let hipec_faults (r : Trace.Recorded.t) =
-  Array.fold_left
-    (fun n ev ->
-      match ev.Event.payload with
-      | Event.Fault { kind = Event.Hipec; _ } -> n + 1
-      | _ -> n)
-    0 r.Trace.Recorded.events
-
 let with_backend b f =
   let saved = Executor.default_backend () in
   Executor.set_default_backend b;
@@ -113,7 +105,7 @@ let check_anomaly stem () =
     | None -> Alcotest.failf "%s: recording lacks frames metadata" stem
   in
   Alcotest.(check bool) (stem ^ ": hi grant is larger") true (frames hi > frames lo);
-  let f_lo = hipec_faults lo and f_hi = hipec_faults hi in
+  let f_lo = Trace_run.hipec_faults lo and f_hi = Trace_run.hipec_faults hi in
   Alcotest.(check bool)
     (Printf.sprintf "%s: anomaly holds (%d faults at %d frames < %d at %d)" stem f_lo
        (frames lo) f_hi (frames hi))

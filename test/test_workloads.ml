@@ -328,6 +328,22 @@ let test_policy_sim_advise () =
     true
     (advice = Policy_sim.Lru || advice = Policy_sim.Clock)
 
+(* Faults of the live kernel running the named policy over [trace],
+   recorded through the policy-scenario harness. *)
+let live_faults ~policy ~frames trace =
+  let cfg =
+    {
+      Trace_run.default_policy_cfg with
+      Trace_run.npages = 40;
+      frames;
+      policy;
+      count = Array.length trace;
+    }
+  in
+  match Trace_run.record_accesses cfg trace with
+  | Error e -> Alcotest.fail e
+  | Ok recorded -> Trace_run.hipec_faults recorded
+
 let test_policy_sim_matches_live_kernel () =
   (* the offline model and the live HiPEC policies agree exactly *)
   let npages = 40 and frames = 16 in
@@ -342,66 +358,42 @@ let test_policy_sim_matches_live_kernel () =
           ~write_ratio:0. );
     ]
   in
-  let live policy trace =
-    let config =
-      { Kernel.default_config with Kernel.total_frames = 512; hipec_kernel = true }
-    in
-    let k = Kernel.create ~config () in
-    let sys = Hipec_core.Api.init k in
-    let task = Kernel.create_task k () in
-    match
-      Hipec_core.Api.vm_allocate_hipec sys task ~npages
-        (Hipec_core.Api.default_spec ~policy ~min_frames:frames)
-    with
-    | Error e -> Alcotest.fail e
-    | Ok (region, _) -> Access_trace.faults_during k task region trace
-  in
   List.iter
     (fun (name, trace) ->
-      Alcotest.(check int)
-        (name ^ ": FIFO live = offline")
-        (Policy_sim.faults Policy_sim.Fifo ~frames trace)
-        (live (Hipec_core.Policies.fifo ()) trace);
-      Alcotest.(check int)
-        (name ^ ": LRU live = offline")
-        (Policy_sim.faults Policy_sim.Lru ~frames trace)
-        (live (Hipec_core.Policies.lru ()) trace);
-      Alcotest.(check int)
-        (name ^ ": MRU live = offline")
-        (Policy_sim.faults Policy_sim.Mru ~frames trace)
-        (live (Hipec_core.Policies.mru ()) trace))
+      List.iter
+        (fun (policy, model) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: %s live = offline" name policy)
+            (Policy_sim.faults model ~frames trace)
+            (live_faults ~policy ~frames trace))
+        [ ("fifo", Policy_sim.Fifo); ("lru", Policy_sim.Lru); ("mru", Policy_sim.Mru) ])
     traces
 
 let test_policy_sim_clock_matches_live () =
   (* the live CLOCK policy (simple commands rotating the active queue)
-     against the offline ring model *)
-  let npages = 40 and frames = 16 in
-  let live trace =
-    let config =
-      { Kernel.default_config with Kernel.total_frames = 512; hipec_kernel = true }
-    in
-    let k = Kernel.create ~config () in
-    let sys = Hipec_core.Api.init k in
-    let task = Kernel.create_task k () in
-    match
-      Hipec_core.Api.vm_allocate_hipec sys task ~npages
-        (Hipec_core.Api.default_spec ~policy:(Hipec_core.Policies.clock ())
-           ~min_frames:frames)
-    with
-    | Error e -> Alcotest.fail e
-    | Ok (region, _) -> Access_trace.faults_during k task region trace
+     against the offline model, exactly *)
+  let live ~frames trace = live_faults ~policy:"clock" ~frames trace in
+  (* reference bits matter here: the kernel sets a page's bit when its
+     fault resolves, so it faults 8 times where a ring whose new pages
+     start unreferenced faults 7 *)
+  let reuse =
+    Array.map
+      (fun page -> { Access_trace.page; write = false })
+      [| 0; 1; 2; 0; 3; 0; 4; 1; 0; 2 |]
   in
+  Alcotest.(check int) "reuse: kernel CLOCK faults" 8 (live ~frames:3 reuse);
+  let npages = 40 in
   List.iter
-    (fun (name, trace) ->
-      let offline = Policy_sim.faults Policy_sim.Clock ~frames trace in
-      let measured = live trace in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: live %d ~ offline %d" name measured offline)
-        true
-        (abs (measured - offline) * 10 <= offline))
+    (fun (name, frames, trace) ->
+      Alcotest.(check int)
+        (name ^ ": CLOCK live = offline")
+        (Policy_sim.faults Policy_sim.Clock ~frames trace)
+        (live ~frames trace))
     [
-      ("cyclic", Access_trace.cyclic ~npages ~loops:3 ~write:false);
+      ("reuse", 3, reuse);
+      ("cyclic", 16, Access_trace.cyclic ~npages ~loops:3 ~write:false);
       ( "zipf",
+        16,
         Access_trace.zipf (Rng.create ~seed:12) ~npages ~count:400 ~theta:0.9
           ~write_ratio:0. );
     ]
