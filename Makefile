@@ -1,4 +1,4 @@
-.PHONY: all test bench examples clean quick-bench chaos oracle golden fig6 backend-bench metrics-bench storm storm-bench adversary adversary-bench spans spans-bench lint ci
+.PHONY: all test bench examples clean quick-bench chaos oracle golden fig6 metrics-bench storm storm-bench adversary adversary-bench spans spans-bench lint ci
 
 all:
 	dune build @all
@@ -22,13 +22,6 @@ golden:
 fig6:
 	dune exec bench/main.exe -- fig6 --quick
 
-# interp vs compiled executor on the same scenarios; fails on digest
-# divergence or on a compiled-speedup regression (executor-attributed
-# < 1.0x anywhere, spin-heavy whole-run < 1.5x) and rewrites
-# BENCH_7.json
-backend-bench:
-	dune exec bench/main.exe -- backend --quick
-
 # per-scenario latency percentile tables; rewrites BENCH_4.json
 metrics-bench:
 	dune exec bench/main.exe -- metrics
@@ -38,15 +31,15 @@ metrics-bench:
 storm:
 	dune exec bin/hipec_cli.exe -- storm --smoke
 
-# storm isolation metrics under both backends; fails on digest
-# instability or backend divergence and rewrites BENCH_5.json
+# storm isolation metrics; fails on digest instability across runs and
+# rewrites BENCH_5.json
 storm-bench:
 	dune exec bench/main.exe -- storm --quick
 
 # the anomaly-witness regression gate: the seeded search must find and
 # confirm a FIFO Belady anomaly, must find none against the adaptive
 # policy at the same budget, and the pinned golden witness pair must
-# replay digest-identically on both backends with the anomaly intact
+# replay digest-identically with the anomaly intact
 adversary:
 	dune exec bin/hipec_cli.exe -- adversary report --smoke
 	dune exec bin/hipec_cli.exe -- adversary replay-witness \
@@ -57,8 +50,7 @@ adversary:
 adversary-bench:
 	dune exec bench/main.exe -- adversary
 
-# critical-path span attribution on the storm and chaos scenarios;
-# exits nonzero when the two backends disagree on the span digest
+# critical-path span attribution on the storm and chaos scenarios
 spans:
 	dune exec bin/hipec_cli.exe -- spans --scenario storm-smoke --json -o SPANS.json
 	dune exec bin/hipec_cli.exe -- spans --scenario chaos-smoke
@@ -85,8 +77,8 @@ lint:
 # oracle, golden, storm, span and adversary suites), the policy lint
 # gate, the Figure 6 fault-count gate, the chaos and storm acceptance
 # checks at smoke scale, the adversary regression gate, the span
-# cross-backend gate, and the backend equivalence benches.
-ci: all test lint oracle golden fig6 chaos storm adversary spans backend-bench metrics-bench storm-bench adversary-bench spans-bench
+# attribution runs, and the metrics, storm, adversary and spans benches.
+ci: all test lint oracle golden fig6 chaos storm adversary spans metrics-bench storm-bench adversary-bench spans-bench
 
 bench:
 	dune exec bench/main.exe

@@ -418,421 +418,7 @@ let mechanism ~quick () =
     "\n(the interpreted policy pays nanoseconds per decision where upcalls pay\n\
     \ two system-call crossings and an external pager two IPC round trips)\n\n"
 
-(* ------------------------------------------------------------------ *)
-(* Backend regression: interpreter vs compiled executor                *)
-(* ------------------------------------------------------------------ *)
-
 module Tr = Hipec_trace.Trace
-module Ev = Hipec_trace.Event
-
-(* A policy-heavy PageFault handler: a counted arithmetic loop in front
-   of the standard take, so per-command fetch/decode overhead dominates
-   the run — the cost the compiled backend exists to remove.  The loop
-   body is a three-command arith chain whose middle command divides by a
-   never-written operand: install-time analysis proves the divisor
-   nonzero and the whole body fuses; without the proof the fallible Div
-   would split the chain. *)
-let spin_x = Operand.Std.first_user
-let spin_limit = Operand.Std.first_user + 1
-let spin_zero = Operand.Std.first_user + 2
-let spin_acc = Operand.Std.first_user + 3
-let spin_div = Operand.Std.first_user + 4 (* never written: provably nonzero *)
-
-let spin_program () =
-  let open Program.Asm in
-  let code =
-    match
-      assemble
-        [
-          Op (Instr.Arith (spin_x, spin_zero, Opcode.Arith_op.Mul)); (* x := 0 *)
-          Label "spin";
-          Op (Instr.Arith (spin_x, spin_x, Opcode.Arith_op.Inc));
-          Op (Instr.Arith (spin_acc, spin_x, Opcode.Arith_op.Add));
-          Op (Instr.Arith (spin_acc, spin_div, Opcode.Arith_op.Div));
-          Op (Instr.Comp (spin_x, spin_limit, Opcode.Comp_op.Lt));
-          Jump_to "take";
-          Jump_to "spin";
-          Label "take";
-          Op (Instr.Emptyq Operand.Std.free_queue);
-          Jump_to "grab";
-          Op (Instr.Fifo Operand.Std.active_queue);
-          Jump_to "grab";
-          Label "grab";
-          Op (Instr.Dequeue (Operand.Std.page_reg, Operand.Std.free_queue, Opcode.Queue_end.Head));
-          Op (Instr.Return Operand.Std.page_reg);
-        ]
-    with
-    | Ok code -> code
-    | Error e -> failwith e
-  in
-  Program.make
-    [
-      (Events.page_fault, code);
-      (Events.reclaim_frame, [| Instr.Return Operand.Std.null |]);
-    ]
-
-type backend_measure = {
-  wall_ns : float;
-  commands : int;
-  faults : int;
-  digest : string;
-  events : int;
-}
-
-let commands_per_sec m =
-  if m.wall_ns <= 0. then 0. else float_of_int m.commands /. (m.wall_ns /. 1e9)
-
-let with_backend backend f =
-  let saved = Executor.default_backend () in
-  Executor.set_default_backend backend;
-  Fun.protect ~finally:(fun () -> Executor.set_default_backend saved) f
-
-(* one spin-heavy run: cyclic scan over npages > frames, so every
-   access faults and runs the arithmetic loop *)
-let drive_spin ~spin ~frames ~npages ~loops () =
-  let config =
-    { Kernel.default_config with Kernel.total_frames = 4 * frames; hipec_kernel = true }
-  in
-  let k = Kernel.create ~config () in
-  let sys = Api.init ~start_checker:false k in
-  let task = Kernel.create_task k () in
-  let spec =
-    {
-      (Api.default_spec ~policy:(spin_program ()) ~min_frames:frames) with
-      Api.extra_operands =
-        [
-          (spin_x, Operand.Int (ref 0));
-          (spin_limit, Operand.Int (ref spin));
-          (spin_zero, Operand.Int (ref 0));
-          (spin_acc, Operand.Int (ref 0));
-          (spin_div, Operand.Int (ref 7));
-        ];
-    }
-  in
-  match Api.vm_allocate_hipec sys task ~npages spec with
-  | Error e -> failwith ("spin-heavy: " ^ e)
-  | Ok (region, container) ->
-      for _ = 1 to loops do
-        for i = 0 to npages - 1 do
-          Kernel.access_vpn k task ~vpn:(region.Vm_map.start_vpn + i) ~write:false
-        done
-      done;
-      Kernel.drain_io k;
-      Container.commands_interpreted container
-
-let measure_spin backend ~quick =
-  let spin = 100 in
-  let frames = 128 and npages = 256 in
-  let loops = if quick then 8 else 24 in
-  with_backend backend (fun () ->
-      (* timed, untraced: pure executor speed *)
-      let t0 = Unix.gettimeofday () in
-      let commands = drive_spin ~spin ~frames ~npages ~loops () in
-      let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-      (* traced (streaming digest): the observable-equivalence check *)
-      let c = Tr.start ~store:false () in
-      ignore (drive_spin ~spin ~frames ~npages ~loops ());
-      ignore (Tr.stop ());
-      let counts = Tr.counts c in
-      {
-        wall_ns;
-        commands;
-        faults =
-          counts.(Ev.tag (Ev.Fault { task = 0; vpn = 0; kind = Ev.Hipec; latency_ns = 0 }));
-        digest = Tr.digest_hex (Tr.digest c);
-        events = Tr.events_seen c;
-      })
-
-let measure_scenario backend name =
-  let scenario =
-    match Trace_run.scenario_of_name name with
-    | Some s -> s
-    | None -> failwith ("unknown scenario " ^ name)
-  in
-  with_backend backend (fun () ->
-      let t0 = Unix.gettimeofday () in
-      match Trace_run.record scenario with
-      | Error e -> failwith (name ^ ": " ^ e)
-      | Ok r ->
-          let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-          let commands = ref 0 and faults = ref 0 in
-          Array.iter
-            (fun ev ->
-              match ev.Ev.payload with
-              | Ev.Policy_run { commands = c; _ } -> commands := !commands + c
-              | Ev.Fault _ -> incr faults
-              | _ -> ())
-            r.Tr.Recorded.events;
-          {
-            wall_ns;
-            commands = !commands;
-            faults = !faults;
-            digest = Tr.digest_hex r.Tr.Recorded.digest;
-            events = Array.length r.Tr.Recorded.events;
-          })
-
-let json_of_measure m =
-  Printf.sprintf
-    "{ \"wall_ns\": %.0f, \"commands\": %d, \"commands_per_sec\": %.0f, \"faults\": %d, \
-     \"events\": %d, \"digest\": \"%s\" }"
-    m.wall_ns m.commands (commands_per_sec m) m.faults m.events m.digest
-
-(* Executor-attributed measurement.  Whole-scenario wall conflates the
-   executor with minidb and the disk simulation — on join-small the
-   executor is a sliver of the run, so the whole-wall ratio is mostly
-   noise.  The per-opcode profiler (PR 4) attributes wall time to the
-   executor itself; both backends pay the same boundary-timer overhead,
-   so the ratio is apples-to-apples at the layer the backends differ.
-   Best-of-N repeats de-noise cold starts. *)
-module Mp = Hipec_metrics.Metrics
-
-type exec_measure = {
-  exec_wall_ns : int;
-  exec_sim_ns : int;
-  exec_runs : int;
-  per_opcode : (string * int * int * int) list;
-      (* (opcode, count, sim_ns, wall_ns); "(overhead)" row first *)
-}
-
-let exec_once backend drive =
-  with_backend backend (fun () ->
-      let reg = Mp.install () in
-      drive ();
-      ignore (Mp.uninstall ());
-      match
-        Mp.Registry.profile_totals reg ~backend:(Executor.backend_name backend)
-      with
-      | None ->
-          failwith
-            (Printf.sprintf "no executor profile for backend %s"
-               (Executor.backend_name backend))
-      | Some (cells, overhead, runs) ->
-          let wall = ref overhead.Mp.Profile.wall_ns
-          and sim = ref overhead.Mp.Profile.sim_ns in
-          Array.iter
-            (fun c ->
-              wall := !wall + c.Mp.Profile.wall_ns;
-              sim := !sim + c.Mp.Profile.sim_ns)
-            cells;
-          (!wall, !sim, runs, cells, overhead))
-
-let finish_exec (wall, sim, runs, cells, overhead) =
-  let rows = ref [] in
-  for i = Array.length cells - 1 downto 0 do
-    let c = cells.(i) in
-    if c.Mp.Profile.count > 0 then begin
-      let name =
-        match Opcode.of_code i with
-        | Some op -> Opcode.name op
-        | None -> Printf.sprintf "op%d" i
-      in
-      rows :=
-        (name, c.Mp.Profile.count, c.Mp.Profile.sim_ns, c.Mp.Profile.wall_ns)
-        :: !rows
-    end
-  done;
-  let per_opcode =
-    ("(overhead)", runs, overhead.Mp.Profile.sim_ns, overhead.Mp.Profile.wall_ns)
-    :: !rows
-  in
-  { exec_wall_ns = wall; exec_sim_ns = sim; exec_runs = runs; per_opcode }
-
-(* Interleave the backends run-for-run so allocator/GC drift lands on
-   both alike, then keep each backend's fastest repeat. *)
-let measure_exec_pair ~repeats drive =
-  let wall_of (w, _, _, _, _) = w in
-  let best_i = ref None and best_c = ref None in
-  let keep best m =
-    match !best with
-    | Some b when wall_of b <= wall_of m -> ()
-    | _ -> best := Some m
-  in
-  for _ = 1 to repeats do
-    keep best_i (exec_once Executor.Interp drive);
-    keep best_c (exec_once Executor.Compiled drive)
-  done;
-  (finish_exec (Option.get !best_i), finish_exec (Option.get !best_c))
-
-let json_of_exec e =
-  let rows =
-    String.concat ",\n"
-      (List.map
-         (fun (name, count, sim, wall) ->
-           Printf.sprintf
-             "          { \"opcode\": \"%s\", \"count\": %d, \"sim_ns\": %d, \
-              \"wall_ns\": %d }"
-             name count sim wall)
-         e.per_opcode)
-  in
-  Printf.sprintf
-    "{ \"exec_wall_ns\": %d, \"exec_sim_ns\": %d, \"runs\": %d,\n\
-     \        \"per_opcode\": [\n%s\n        ] }"
-    e.exec_wall_ns e.exec_sim_ns e.exec_runs rows
-
-let backend_bench ~quick () =
-  header "Backend: interpreter vs compile-once executor (BENCH_7.json)";
-  let repeats = if quick then 2 else 3 in
-  let spin_drive () =
-    ignore (drive_spin ~spin:100 ~frames:128 ~npages:256 ~loops:(if quick then 8 else 24) ())
-  in
-  let scenario_drive name () =
-    let scenario =
-      match Trace_run.scenario_of_name name with
-      | Some s -> s
-      | None -> failwith ("unknown scenario " ^ name)
-    in
-    match Trace_run.run_scenario scenario with
-    | Ok () -> ()
-    | Error e -> failwith (name ^ ": " ^ e)
-  in
-  let scenarios =
-    [
-      ("spin-heavy", (fun b -> measure_spin b ~quick), spin_drive);
-      ("join-small", (fun b -> measure_scenario b "join-small"), scenario_drive "join-small");
-      ("aim-small", (fun b -> measure_scenario b "aim-small"), scenario_drive "aim-small");
-    ]
-  in
-  Printf.printf "  %-12s %-9s %12s %14s %13s %8s  %s\n" "scenario" "backend" "wall (ms)"
-    "commands/sec" "exec (ms)" "faults" "digest";
-  let rows =
-    List.map
-      (fun (name, measure, drive) ->
-        let mi = measure Executor.Interp in
-        let mc = measure Executor.Compiled in
-        let ei, ec = measure_exec_pair ~repeats drive in
-        List.iter
-          (fun (bname, m, e) ->
-            Printf.printf "  %-12s %-9s %12.2f %14.0f %13.2f %8d  %s\n" name bname
-              (m.wall_ns /. 1e6) (commands_per_sec m)
-              (float_of_int e.exec_wall_ns /. 1e6)
-              m.faults m.digest)
-          [ ("interp", mi, ei); ("compiled", mc, ec) ];
-        let speedup =
-          if commands_per_sec mi > 0. then commands_per_sec mc /. commands_per_sec mi
-          else 0.
-        in
-        let exec_speedup =
-          if ec.exec_wall_ns > 0 then
-            float_of_int ei.exec_wall_ns /. float_of_int ec.exec_wall_ns
-          else 0.
-        in
-        let digest_match = mi.digest = mc.digest && mi.events = mc.events in
-        Printf.printf "  %-12s %-9s %12s %13.2fx %12.2fx %8s  digest %s\n" "" "speedup"
-          "" speedup exec_speedup ""
-          (if digest_match then "MATCH" else "MISMATCH");
-        if not digest_match then
-          failwith (Printf.sprintf "backend digests diverged on %s" name);
-        (name, mi, mc, speedup, digest_match, ei, ec, exec_speedup))
-      scenarios
-  in
-  (* Per-opcode attribution: where the executor wall went, per backend. *)
-  List.iter
-    (fun (name, _, _, _, _, ei, ec, _) ->
-      Printf.printf "\n  %s per-opcode executor wall (best of %d):\n" name repeats;
-      Printf.printf "    %-12s %10s %12s %12s %12s\n" "opcode" "count" "interp(us)"
-        "compiled(us)" "sim(us)";
-      let wall_of e n =
-        match List.find_opt (fun (o, _, _, _) -> o = n) e.per_opcode with
-        | Some (_, _, _, w) -> Some w
-        | None -> None
-      in
-      List.iter
-        (fun (opcode, count, sim, wi) ->
-          let wc = Option.value (wall_of ec opcode) ~default:0 in
-          Printf.printf "    %-12s %10d %12.1f %12.1f %12.1f\n" opcode count
-            (float_of_int wi /. 1e3) (float_of_int wc /. 1e3)
-            (float_of_int sim /. 1e3))
-        ei.per_opcode)
-    rows;
-  (* The analysis-enabled fusion plan for the spin policy: the loop
-     body's Div joins its arith chain only because install-time
-     analysis proves the never-written divisor nonzero.  Plan both ways
-     so the win is recorded (and gated) alongside the timings. *)
-  let chain_with, chain_without =
-    let program = spin_program () in
-    let ops = Operand.create () in
-    ignore
-      (Operand.install_std ops ~name:"bench" ~free_target:4 ~inactive_target:8
-         ~reserved_target:2);
-    List.iter
-      (fun (ix, v) -> Operand.set ops ix v)
-      [
-        (spin_x, Operand.Int (ref 0));
-        (spin_limit, Operand.Int (ref 100));
-        (spin_zero, Operand.Int (ref 0));
-        (spin_acc, Operand.Int (ref 0));
-        (spin_div, Operand.Int (ref 7));
-      ];
-    let code = Option.get (Program.code program ~event:Events.page_fault) in
-    let a = Analysis.analyze ~ops program in
-    let max_chain plan =
-      List.fold_left
-        (fun acc g ->
-          match g with Fusion.Arith_chain { len; _ } -> max acc len | _ -> acc)
-        0 plan
-    in
-    ( max_chain
-        (Fusion.plan
-           ~safe_div:(fun cc -> Analysis.safe_div a ~event:Events.page_fault ~cc)
-           code),
-      max_chain (Fusion.plan code) )
-  in
-  Printf.printf
-    "\n  spin-heavy fusion: longest arith chain %d with analysis facts, %d without\n"
-    chain_with chain_without;
-  let path = "BENCH_7.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n  \"bench\": \"backend\",\n  \"quick\": %b,\n\
-        \  \"spin_fusion\": { \"longest_chain_with_analysis\": %d, \
-         \"longest_chain_without\": %d },\n\
-        \  \"scenarios\": [\n"
-        quick chain_with chain_without;
-      List.iteri
-        (fun i (name, mi, mc, speedup, digest_match, ei, ec, exec_speedup) ->
-          Printf.fprintf oc
-            "    { \"name\": \"%s\",\n      \"interp\": %s,\n      \"compiled\": %s,\n\
-            \      \"interp_exec\": %s,\n      \"compiled_exec\": %s,\n\
-            \      \"speedup_commands_per_sec\": %.3f,\n\
-            \      \"speedup_executor_wall\": %.3f,\n      \"digest_match\": %b }%s\n"
-            name (json_of_measure mi) (json_of_measure mc) (json_of_exec ei)
-            (json_of_exec ec) speedup exec_speedup digest_match
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      Printf.fprintf oc "  ]\n}\n");
-  Printf.printf "\n  wrote %s\n" path;
-  (* Regression gate (CI fails with us): compiled must win at the
-     executor-attributed layer on every golden scenario, and spin-heavy
-     — a pure-executor scenario — must hold the headline whole-wall
-     speedup. *)
-  let failures = ref [] in
-  List.iter
-    (fun (name, _, _, speedup, _, _, _, exec_speedup) ->
-      if exec_speedup < 1.0 then
-        failures :=
-          Printf.sprintf "%s: executor-attributed speedup %.3fx < 1.0x" name
-            exec_speedup
-          :: !failures;
-      if name = "spin-heavy" && speedup < 1.5 then
-        failures :=
-          Printf.sprintf "spin-heavy: whole-scenario speedup %.2fx < 1.5x" speedup
-          :: !failures)
-    rows;
-  if chain_with <= chain_without then
-    failures :=
-      Printf.sprintf
-        "spin-heavy: analysis facts did not extend the fusion plan (%d <= %d)"
-        chain_with chain_without
-      :: !failures;
-  (match !failures with
-  | [] -> Printf.printf "  regression gate: PASS\n\n"
-  | fs ->
-      List.iter (fun f -> Printf.printf "  regression gate: FAIL %s\n" f) fs;
-      failwith "backend bench regression gate failed");
-  ()
 
 (* ------------------------------------------------------------------ *)
 (* Metrics: per-scenario latency percentile tables (BENCH_4.json)      *)
@@ -914,11 +500,6 @@ let metrics_bench ~quick:_ () =
 
 let storm_bench ~quick () =
   header "Storm: multi-tenant overload protection and isolation (BENCH_5.json)";
-  let with_backend b f =
-    let saved = Executor.default_backend () in
-    Executor.set_default_backend b;
-    Fun.protect ~finally:(fun () -> Executor.set_default_backend saved) f
-  in
   (* digest checks only make sense when each run owns its collector; an
      outer --trace collector makes the digests cumulative *)
   let own_digests = not (Hipec_trace.Trace.on ()) in
@@ -935,15 +516,10 @@ let storm_bench ~quick () =
           let r = f () in
           (r, (Unix.gettimeofday () -. t0) *. 1e9)
         in
-        let r1, wall_ns = timed (fun () -> with_backend Executor.Interp (fun () -> Storm.run config)) in
-        let r2 = with_backend Executor.Interp (fun () -> Storm.run config) in
-        let rc = with_backend Executor.Compiled (fun () -> Storm.run config) in
-        let baseline =
-          with_backend Executor.Interp (fun () ->
-              Storm.run { config with Storm.greedy_every = 0; erring_every = 0 })
-        in
+        let r1, wall_ns = timed (fun () -> Storm.run config) in
+        let r2 = Storm.run config in
+        let baseline = Storm.run { config with Storm.greedy_every = 0; erring_every = 0 } in
         let digest_stable = (not own_digests) || r1.Storm.digest = r2.Storm.digest in
-        let backend_match = (not own_digests) || r1.Storm.digest = rc.Storm.digest in
         (* honest tail latency relative to the greedy-free control run:
            the isolation ratio the storm suite bounds at 3x *)
         let isolation_ratio =
@@ -960,10 +536,8 @@ let storm_bench ~quick () =
               r.Storm.throttles_entered r.Storm.emergency_seizures r.Storm.digest)
           [ ("storm", r1); ("baseline", baseline) ];
         if own_digests then
-          Printf.printf "  %-8s %-10s digest %s across runs, %s across backends\n" ""
-            ""
-            (if digest_stable then "STABLE" else "UNSTABLE")
-            (if backend_match then "MATCH" else "MISMATCH");
+          Printf.printf "  %-8s %-10s digest %s across runs\n" "" ""
+            (if digest_stable then "STABLE" else "UNSTABLE");
         Printf.printf "  %-8s %-10s slo: %d tracked, %d over budget, %d violations%s\n" ""
           "" r1.Storm.slo_tracked r1.Storm.slo_over_budget r1.Storm.slo_violations
           (match r1.Storm.slo_worst with
@@ -975,11 +549,7 @@ let storm_bench ~quick () =
           failwith
             (Printf.sprintf "storm digest unstable across runs at %d tenants"
                config.Storm.tenants);
-        if not backend_match then
-          failwith
-            (Printf.sprintf "storm digest diverged across backends at %d tenants"
-               config.Storm.tenants);
-        (config, r1, baseline, isolation_ratio, digest_stable, backend_match, wall_ns))
+        (config, r1, baseline, isolation_ratio, digest_stable, wall_ns))
       scales
   in
   let json_of_offender (o : Storm.offender) =
@@ -1004,7 +574,6 @@ let storm_bench ~quick () =
                (b : Storm.result),
                ratio,
                stable,
-               bmatch,
                wall_ns ) ->
           Printf.fprintf oc
             "    { \"tenants\": %d,\n\
@@ -1020,7 +589,7 @@ let storm_bench ~quick () =
             \      \"admissions_rejected\": %d, \"demotions\": %d,\n\
             \      \"pressure_changes\": %d, \"peak_level\": \"%s\",\n\
             \      \"audit_violations\": %d, \"conservation_ok\": %b,\n\
-            \      \"digest\": \"%s\", \"digest_stable\": %b, \"backend_match\": %b }%s\n"
+            \      \"digest\": \"%s\", \"digest_stable\": %b }%s\n"
             config.Storm.tenants r.Storm.admitted r.Storm.shed r.Storm.honest_alive
             r.Storm.total_faults r.Storm.faults_per_sec wall_ns r.Storm.honest_p50_ns
             r.Storm.honest_p99_ns r.Storm.greedy_p99_ns b.Storm.honest_p99_ns ratio
@@ -1030,7 +599,7 @@ let storm_bench ~quick () =
             r.Storm.throttles_entered r.Storm.throttles_exited r.Storm.emergency_seizures
             r.Storm.emergency_frames r.Storm.admissions_rejected r.Storm.demotions
             r.Storm.pressure_changes r.Storm.peak_level r.Storm.audit_violations
-            r.Storm.conservation_ok r.Storm.digest stable bmatch
+            r.Storm.conservation_ok r.Storm.digest stable
             (if i = List.length rows - 1 then "" else ","))
         rows;
       Printf.fprintf oc "  ]\n}\n");
@@ -1100,15 +669,15 @@ let adversary_bench ~quick () =
         \      \"accesses\": \"%s\",\n\
         \      \"faults_lo\": %d, \"faults_hi\": %d, \"anomaly_ratio\": %.4f,\n\
         \      \"digest_lo\": \"%s\", \"digest_hi\": \"%s\",\n\
-        \      \"backend_match\": %b, \"oracle_match\": %b, \"confirmed\": %b\n\
+        \      \"oracle_match\": %b, \"confirmed\": %b\n\
         \    }\n  },\n"
         o_fifo.Adversary.o_traces_scored (wall_fifo *. 1e9) (rate o_fifo wall_fifo)
         o_fifo.Adversary.o_best_gap
         (Format.asprintf "%a" Adversary.pp_accesses w.Adversary.w_accesses)
         w.Adversary.w_faults_lo w.Adversary.w_faults_hi (Adversary.anomaly_ratio w)
-        (digest_hex c.Adversary.c_lo.Adversary.cl_interp)
-        (digest_hex c.Adversary.c_hi.Adversary.cl_interp)
-        (Adversary.backends_agree c) (Adversary.matches_oracle c) (Adversary.confirmed c);
+        (digest_hex c.Adversary.c_lo.Adversary.cl_run)
+        (digest_hex c.Adversary.c_hi.Adversary.cl_run)
+        (Adversary.matches_oracle c) (Adversary.confirmed c);
       Printf.fprintf oc
         "  \"adaptive\": {\n\
         \    \"traces_scored\": %d, \"wall_ns\": %.0f, \"traces_per_sec\": %.0f,\n\
@@ -1168,23 +737,17 @@ let spans_bench ~quick () =
         let w_on, d_on, ev_on, b = Option.get !best_on in
         let b = Option.get b in
         let span_digest = Sp.digest b in
-        (* the cross-backend witness: same spans, bit for bit *)
-        let _, _, _, bc =
-          with_backend Executor.Compiled (fun () -> once ~with_spans:true ())
-        in
-        let backend_match = Int64.equal span_digest (Sp.digest (Option.get bc)) in
         let overhead = if w_off > 0. then (w_on -. w_off) /. w_off *. 100. else 0. in
         let agg = Sp.Agg.compute (Sp.spans b) in
-        Printf.printf "  %-12s %12.2f %12.2f %9.2f%% %8d  %016Lx %s\n" name
-          (w_off /. 1e6) (w_on /. 1e6) overhead (Sp.fault_count b) span_digest
-          (if backend_match then "MATCH" else "MISMATCH");
-        (name, w_off, w_on, overhead, d_off = d_on && ev_off = ev_on, backend_match,
-         span_digest, agg, Sp.fault_count b))
+        Printf.printf "  %-12s %12.2f %12.2f %9.2f%% %8d  %016Lx\n" name
+          (w_off /. 1e6) (w_on /. 1e6) overhead (Sp.fault_count b) span_digest;
+        (name, w_off, w_on, overhead, d_off = d_on && ev_off = ev_on, span_digest, agg,
+         Sp.fault_count b))
       scenarios
   in
   let sum f = List.fold_left (fun acc r -> acc +. f r) 0. rows in
-  let total_off = sum (fun (_, w, _, _, _, _, _, _, _) -> w) in
-  let total_on = sum (fun (_, _, w, _, _, _, _, _, _) -> w) in
+  let total_off = sum (fun (_, w, _, _, _, _, _, _) -> w) in
+  let total_on = sum (fun (_, _, w, _, _, _, _, _) -> w) in
   let total_overhead =
     if total_off > 0. then (total_on -. total_off) /. total_off *. 100. else 0.
   in
@@ -1196,7 +759,7 @@ let spans_bench ~quick () =
       Printf.fprintf oc "{\n  \"bench\": \"spans\",\n  \"quick\": %b,\n  \"scenarios\": [\n"
         quick;
       List.iteri
-        (fun i (name, w_off, w_on, overhead, stream_identical, backend_match, sd, agg, faults) ->
+        (fun i (name, w_off, w_on, overhead, stream_identical, sd, agg, faults) ->
           let seg_rows =
             String.concat ",\n"
               (List.map
@@ -1213,11 +776,10 @@ let spans_bench ~quick () =
             "    { \"name\": \"%s\", \"faults\": %d,\n\
             \      \"wall_trace_only_ns\": %.0f, \"wall_with_spans_ns\": %.0f,\n\
             \      \"overhead_percent\": %.3f,\n\
-            \      \"stream_identical\": %b, \"span_digest\": \"%016Lx\", \
-             \"backend_match\": %b,\n\
+            \      \"stream_identical\": %b, \"span_digest\": \"%016Lx\",\n\
             \      \"total_latency_ns\": %d, \"lat_p99_ns\": %d,\n\
             \      \"segments\": [\n%s\n      ] }%s\n"
-            name faults w_off w_on overhead stream_identical sd backend_match
+            name faults w_off w_on overhead stream_identical sd
             agg.Sp.Agg.total_latency_ns agg.Sp.Agg.lat_p99_ns seg_rows
             (if i = List.length rows - 1 then "" else ","))
         rows;
@@ -1227,21 +789,18 @@ let spans_bench ~quick () =
         \  \"whole_run_overhead_percent\": %.3f\n}\n"
         total_off total_on total_overhead);
   Printf.printf "\n  wrote %s\n" path;
-  (* The regression gate CI fails with.  Stream identity and backend
-     agreement are per scenario; the 10% wall bound is over the whole
+  (* The regression gate CI fails with.  Stream identity is per
+     scenario; the 10% wall bound is over the whole
      run (all scenarios) — the policy micro-scenario is nearly pure
      event emission with almost no simulated work behind it, so any
      proportional per-event cost is a large share of its tiny wall. *)
   let failures = ref [] in
   List.iter
-    (fun (name, _, _, _, stream_identical, backend_match, _, _, _) ->
+    (fun (name, _, _, _, stream_identical, _, _, _) ->
       if not stream_identical then
         failures :=
           Printf.sprintf "%s: span consumer perturbed the traced event stream" name
-          :: !failures;
-      if not backend_match then
-        failures :=
-          Printf.sprintf "%s: span digests diverged across backends" name :: !failures)
+          :: !failures)
     rows;
   Printf.printf "  whole-run overhead: %.2f%% (%.2f ms -> %.2f ms)\n" total_overhead
     (total_off /. 1e6) (total_on /. 1e6);
@@ -1355,35 +914,12 @@ let all_benches =
     ("storm", storm_bench);
     ("adversary", adversary_bench);
     ("spans", spans_bench);
-    ("backend", backend_bench);
     ("metrics", metrics_bench);
     ("bechamel", bechamel);
   ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  (* --backend interp|compiled (or --backend=X): set the process-wide
-     default execution backend before any bench installs a policy. *)
-  let args =
-    let rec strip acc = function
-      | [] -> List.rev acc
-      | [ "--backend" ] ->
-          prerr_endline "--backend requires an argument (interp|compiled)";
-          exit 2
-      | "--backend" :: v :: rest -> set v (List.rev_append acc rest)
-      | a :: rest when String.length a > 10 && String.sub a 0 10 = "--backend=" ->
-          set (String.sub a 10 (String.length a - 10)) (List.rev_append acc rest)
-      | a :: rest -> strip (a :: acc) rest
-    and set v rest =
-      (match Executor.backend_of_string v with
-      | Some b -> Executor.set_default_backend b
-      | None ->
-          Printf.eprintf "unknown backend %S (interp|compiled)\n" v;
-          exit 2);
-      rest
-    in
-    strip [] args
-  in
   let quick = List.mem "--quick" args || List.mem "--smoke" args in
   let trace = List.mem "--trace" args in
   (* --metrics: run the percentile-table bench (BENCH_4.json) after the

@@ -19,27 +19,6 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* --backend: select the policy-execution engine for commands that run
-   policies.  Evaluating the term sets the process-wide default, which
-   Frame_manager picks up at container install time. *)
-let backend_term =
-  let backend_conv =
-    Arg.conv
-      ( (fun s ->
-          match Executor.backend_of_string s with
-          | Some b -> Ok b
-          | None -> Error (`Msg (Printf.sprintf "unknown backend %S (interp|compiled)" s))),
-        fun fmt b -> Format.pp_print_string fmt (Executor.backend_name b) )
-  in
-  let doc =
-    "Policy execution engine: $(b,interp) decodes each command word on every \
-     dispatch; $(b,compiled) translates accepted programs to closures once at \
-     install time.  Defaults to $(b,HIPEC_BACKEND) or interp."
-  in
-  Term.(
-    const (fun b -> Option.iter Executor.set_default_backend b)
-    $ Arg.(value & opt (some backend_conv) None & info [ "backend" ] ~docv:"BACKEND" ~doc))
-
 (* ------------------------------------------------------------------ *)
 (* translate                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -60,44 +39,6 @@ let translate_cmd =
           (Program.total_commands program)
           (List.length (Program.events program))
           (List.length out.Hipec_pseudoc.Codegen.extra_operands);
-        (* install-time facts: the analysis sees the operand values the
-           source declared, exactly as an install through Api would *)
-        let analysis =
-          let ops = Operand.create () in
-          let _ =
-            Operand.install_std ops ~name:"translate" ~free_target:4 ~inactive_target:8
-              ~reserved_target:2
-          in
-          List.iter
-            (fun (ix, v) -> Operand.set ops ix v)
-            out.Hipec_pseudoc.Codegen.extra_operands;
-          Analysis.analyze ~ops program
-        in
-        (* what the compiled backend will fuse into superinstructions *)
-        let stats, covered, total =
-          Hipec_pseudoc.Optimizer.fusion_report ~analysis program
-        in
-        if covered > 0 then
-          Printf.printf ";; compiled-backend fusion: %s — %d of %d commands covered\n"
-            (String.concat ", "
-               (List.map (fun (n, c) -> Printf.sprintf "%d %s" c n) stats))
-            covered total
-        else Printf.printf ";; compiled-backend fusion: no fusable groups\n";
-        (* fusion groups only the analysis facts made possible *)
-        List.iter
-          (fun (event, cc, ivl) ->
-            let opname =
-              match Program.code program ~event with
-              | Some code -> (
-                  match code.(cc) with
-                  | Instr.Arith (_, _, Opcode.Arith_op.Rem) -> "Rem"
-                  | _ -> "Div")
-              | None -> "Div"
-            in
-            Printf.printf ";; analysis: %s CC %d %s fused: divisor ∈ %s\n"
-              (Events.name event) cc opname
-              (Analysis.Interval.to_string ivl))
-          (Hipec_pseudoc.Optimizer.div_fusions ~analysis program);
         0
   in
   Cmd.v
@@ -407,7 +348,7 @@ let join_cmd =
   let scans =
     Arg.(value & opt int 64 & info [ "scans" ] ~docv:"N" ~doc:"Outer-table scans (Loop).")
   in
-  let run () outer memory policy scans =
+  let run outer memory policy scans =
     let c =
       {
         Join.default_config with
@@ -428,7 +369,7 @@ let join_cmd =
   in
   Cmd.v
     (Cmd.info "run-join" ~doc:"Run the nested-loop join of the paper's section 5.3.")
-    Term.(const run $ backend_term $ outer $ memory $ policy $ scans)
+    Term.(const run $ outer $ memory $ policy $ scans)
 
 (* ------------------------------------------------------------------ *)
 (* run-aim                                                             *)
@@ -453,7 +394,7 @@ let aim_cmd =
     Arg.(value & opt int 60 & info [ "seconds" ] ~docv:"S" ~doc:"Simulated duration.")
   in
   let hipec = Arg.(value & flag & info [ "hipec" ] ~doc:"Run on the HiPEC kernel.") in
-  let run () users mix seconds hipec =
+  let run users mix seconds hipec =
     let cfg =
       { Aim.default_config with Aim.users; mix; duration = T.sec seconds;
         hipec_kernel = hipec }
@@ -470,7 +411,7 @@ let aim_cmd =
   in
   Cmd.v
     (Cmd.info "run-aim" ~doc:"Run the AIM-style throughput benchmark of section 5.2.")
-    Term.(const run $ backend_term $ users $ mix $ seconds $ hipec)
+    Term.(const run $ users $ mix $ seconds $ hipec)
 
 (* ------------------------------------------------------------------ *)
 (* table3 / table4                                                     *)
@@ -524,7 +465,7 @@ let trace_run_cmd =
         & info [ "policy" ] ~docv:"FILE" ~doc:"Pseudo-code policy (default: built-in MRU).")
   in
   let count = Arg.(value & opt int 4096 & info [ "count" ] ~docv:"N" ~doc:"Accesses.") in
-  let run () pattern npages frames policy_file count =
+  let run pattern npages frames policy_file count =
     if npages < 1 || frames < 1 || count < 1 then begin
       Printf.eprintf "--pages, --frames and --count must be >= 1\n";
       exit 2
@@ -571,7 +512,7 @@ let trace_run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Replay a synthetic access trace under a HiPEC policy.")
-    Term.(const run $ backend_term $ pattern $ npages $ frames $ policy_file $ count)
+    Term.(const run $ pattern $ npages $ frames $ policy_file $ count)
 
 let write_file path contents =
   let oc = open_out_bin path in
@@ -649,7 +590,7 @@ let trace_record_cmd =
     Arg.(value & opt (some string) None
         & info [ "json" ] ~docv:"FILE" ~doc:"Also export the stream as JSON.")
   in
-  let run () scenario output json =
+  let run scenario output json =
     match scenario with
     | Error e ->
         Printf.eprintf "%s\n" e;
@@ -671,13 +612,13 @@ let trace_record_cmd =
   Cmd.v
     (Cmd.info "record"
        ~doc:"Run a scenario under the trace collector and serialize the event stream.")
-    Term.(const run $ backend_term $ scenario_args $ output $ json)
+    Term.(const run $ scenario_args $ output $ json)
 
 let trace_replay_cmd =
   let file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"A .trace recording.")
   in
-  let run () file =
+  let run file =
     match load_recorded file with
     | None -> 1
     | Some r -> (
@@ -704,7 +645,7 @@ let trace_replay_cmd =
   Cmd.v
     (Cmd.info "replay"
        ~doc:"Re-execute a recording deterministically and diff the event digest.")
-    Term.(const run $ backend_term $ file)
+    Term.(const run $ file)
 
 let trace_diff_cmd =
   let file n doc = Arg.(required & pos n (some file) None & info [] ~docv:"FILE" ~doc) in
@@ -771,72 +712,29 @@ let scenario_name = function
   | Trace_run.Policy cfg ->
       Printf.sprintf "policy:%s/%s" cfg.Trace_run.pattern cfg.Trace_run.policy
 
-let backend_totals reg b =
-  Mx.Registry.profile_totals reg ~backend:(Executor.backend_name b)
-
-(* With both backends profiled, their per-opcode simulated attributions
-   must be cell-for-cell identical: the boundary timers sit at the same
-   simulated instants in the interpreter and the compiled prologue.
-   [None] when fewer than two backends ran. *)
-let sim_totals_agree reg backends =
-  match List.map (backend_totals reg) backends with
-  | [ Some (ca, oa, _); Some (cb, ob, _) ] ->
-      let agree = ref (oa.Mx.Profile.sim_ns = ob.Mx.Profile.sim_ns) in
-      Array.iteri
-        (fun i (c : Mx.Profile.cell) ->
-          let d = cb.(i) in
-          if c.Mx.Profile.count <> d.Mx.Profile.count
-             || c.Mx.Profile.sim_ns <> d.Mx.Profile.sim_ns
-          then agree := false)
-        ca;
-      Some !agree
-  | _ -> None
-
-(* Fuel attribution must be backend-independent: with both backends run,
-   the hipec.fuel.<backend>.commands counters must agree exactly (the
-   ledger charges Container.commands_interpreted deltas, which both
-   backends increment identically).  [None] unless both counters exist. *)
-let fuel_totals_agree reg backends =
-  match
-    List.map
-      (fun b ->
-        Mx.Registry.counter_value reg
-          ("hipec.fuel." ^ Executor.backend_name b ^ ".commands"))
-      backends
-  with
-  | [ Some a; Some b ] -> Some (a = b)
-  | _ -> None
-
-let print_stat_tables reg backends =
+let print_stat_tables reg =
   print_endline "metrics";
   List.iter
     (fun (name, v) -> Printf.printf "  %-34s %s\n" name v)
     (Mx.Registry.kstat_lines reg);
-  List.iter
-    (fun b ->
-      match backend_totals reg b with
-      | None -> ()
-      | Some (cells, overhead, runs) ->
-          Printf.printf "\nopcode profile (%s backend, %d runs)\n"
-            (Executor.backend_name b) runs;
-          Printf.printf "  %-10s %10s %14s %14s\n" "op" "count" "sim_ns" "wall_ns";
-          Array.iteri
-            (fun i (c : Mx.Profile.cell) ->
-              if c.Mx.Profile.count > 0 then
-                Printf.printf "  %-10s %10d %14d %14d\n" (opcode_label i)
-                  c.Mx.Profile.count c.Mx.Profile.sim_ns c.Mx.Profile.wall_ns)
-            cells;
-          Printf.printf "  %-10s %10d %14d %14d\n" "(overhead)"
-            overhead.Mx.Profile.count overhead.Mx.Profile.sim_ns
-            overhead.Mx.Profile.wall_ns;
-          (* the overhead cell is everything before the first fetch of
-             each run — dispatch + entry, i.e. the per-run setup cost *)
-          if runs > 0 then
-            Printf.printf "  %-10s %10s %14d %14d  per-run setup (avg ns)\n"
-              "(run setup)" ""
-              (overhead.Mx.Profile.sim_ns / runs)
-              (overhead.Mx.Profile.wall_ns / runs))
-    backends
+  match Mx.Registry.profile_totals reg with
+  | None -> ()
+  | Some (cells, overhead, runs) ->
+      Printf.printf "\nopcode profile (%d runs)\n" runs;
+      Printf.printf "  %-10s %10s %14s\n" "op" "count" "sim_ns";
+      Array.iteri
+        (fun i (c : Mx.Profile.cell) ->
+          if c.Mx.Profile.count > 0 then
+            Printf.printf "  %-10s %10d %14d\n" (opcode_label i) c.Mx.Profile.count
+              c.Mx.Profile.sim_ns)
+        cells;
+      Printf.printf "  %-10s %10d %14d\n" "(overhead)" overhead.Mx.Profile.count
+        overhead.Mx.Profile.sim_ns;
+      (* the overhead cell is everything before the first fetch of each
+         run — dispatch + entry, i.e. the per-run setup cost *)
+      if runs > 0 then
+        Printf.printf "  %-10s %10s %14d  per-run setup (avg ns)\n" "(run setup)" ""
+          (overhead.Mx.Profile.sim_ns / runs)
 
 let print_stat_watch reg =
   List.iter
@@ -855,30 +753,6 @@ let print_stat_watch reg =
     (Mx.Registry.series_list reg)
 
 let stat_cmd =
-  let backends =
-    let backend_set =
-      Arg.conv
-        ( (function
-          | "interp" -> Ok [ Executor.Interp ]
-          | "compiled" -> Ok [ Executor.Compiled ]
-          | "both" -> Ok [ Executor.Interp; Executor.Compiled ]
-          | s ->
-              Error (`Msg (Printf.sprintf "unknown backend %S (interp|compiled|both)" s))),
-          fun fmt bs ->
-            Format.pp_print_string fmt
-              (match bs with
-              | [ Executor.Interp ] -> "interp"
-              | [ Executor.Compiled ] -> "compiled"
-              | _ -> "both") )
-    in
-    Arg.(value & opt backend_set [ Executor.Interp; Executor.Compiled ]
-        & info [ "backend" ] ~docv:"B"
-            ~doc:
-              "Policy execution engines to run and profile: \
-               $(b,interp)|$(b,compiled)|$(b,both).  With $(b,both) the per-opcode \
-               simulated-cycle attributions must agree cell for cell; a mismatch \
-               exits nonzero.")
-  in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the metrics snapshot as JSON.")
   in
@@ -904,10 +778,9 @@ let stat_cmd =
             ~doc:
               "Also reconstruct fault-lifecycle spans during each run (installs the \
                trace sink alongside the metrics registry) and print the critical-path \
-               attribution table.  With $(b,both) backends the span digests must \
-               agree; a mismatch exits nonzero.")
+               attribution table.")
   in
-  let run scenario backends json prom watch tick with_spans =
+  let run scenario json prom watch tick with_spans =
     match scenario with
     | Error e ->
         Printf.eprintf "%s\n" e;
@@ -918,110 +791,48 @@ let stat_cmd =
           2
         end
         else begin
-          (* One registry across all runs: counters and histograms
-             aggregate over every backend's run, while opcode profiles
-             stay separate (keyed by backend). *)
-          let saved = Executor.default_backend () in
           let reg = Mx.install ~tick_ns:(tick * 1_000_000) () in
-          let span_builders = ref [] in
+          let spans = if with_spans then Some (Sp.create ()) else None in
           let outcome =
             Fun.protect
-              ~finally:(fun () ->
-                ignore (Mx.uninstall ());
-                Executor.set_default_backend saved)
+              ~finally:(fun () -> ignore (Mx.uninstall ()))
               (fun () ->
-                List.fold_left
-                  (fun acc b ->
-                    match acc with
-                    | Error _ as e -> e
-                    | Ok () ->
-                        Executor.set_default_backend b;
-                        if with_spans then begin
-                          let sb = Sp.create () in
-                          let _collector = Tr.start () in
-                          Tr.set_consumer (Some (Sp.feed sb));
-                          let r =
-                            Fun.protect
-                              ~finally:(fun () -> ignore (Tr.stop ()))
-                              (fun () -> Trace_run.run_scenario scenario)
-                          in
-                          span_builders := (b, sb) :: !span_builders;
-                          r
-                        end
-                        else Trace_run.run_scenario scenario)
-                  (Ok ()) backends)
+                match spans with
+                | None -> Trace_run.run_scenario scenario
+                | Some sb ->
+                    let _collector = Tr.start () in
+                    Tr.set_consumer (Some (Sp.feed sb));
+                    Fun.protect
+                      ~finally:(fun () -> ignore (Tr.stop ()))
+                      (fun () -> Trace_run.run_scenario scenario))
           in
           match outcome with
           | Error e ->
               Printf.eprintf "scenario failed: %s\n" e;
               1
           | Ok () ->
-              let agree = sim_totals_agree reg backends in
-              let fuel_agree = fuel_totals_agree reg backends in
-              let span_rows = List.rev !span_builders in
-              let spans_agree =
-                match span_rows with
-                | [ (_, a); (_, b) ] -> Some (Int64.equal (Sp.digest a) (Sp.digest b))
-                | _ -> None
-              in
               if json then
-                Printf.printf
-                  "{\"scenario\":%S,\"sim_totals_equal\":%s,\"fuel_totals_equal\":%s,\"span_digests_equal\":%s,%s\"metrics\":%s}\n"
+                Printf.printf "{\"scenario\":%S,%s\"metrics\":%s}\n"
                   (scenario_name scenario)
-                  (match agree with
-                  | Some b -> string_of_bool b
-                  | None -> "null")
-                  (match fuel_agree with
-                  | Some b -> string_of_bool b
-                  | None -> "null")
-                  (match spans_agree with
-                  | Some b -> string_of_bool b
-                  | None -> "null")
-                  (match span_rows with
-                  | (_, sb) :: _ ->
+                  (match spans with
+                  | Some sb ->
                       Printf.sprintf "\"spans\":%s,"
                         (String.trim (Sp.to_json ~include_spans:false sb))
-                  | [] -> "")
+                  | None -> "")
                   (Mx.Registry.to_json ~opcode_name:opcode_label reg)
               else if prom then print_string (Mx.Registry.to_prom ~opcode_name:opcode_label reg)
               else begin
                 Printf.printf "scenario %s\n\n" (scenario_name scenario);
-                print_stat_tables reg backends;
-                (match span_rows with
-                | (b0, sb) :: _ ->
-                    Printf.printf "\nspan attribution (%s backend, digest %s)\n"
-                      (Executor.backend_name b0)
+                print_stat_tables reg;
+                (match spans with
+                | Some sb ->
+                    Printf.printf "\nspan attribution (digest %s)\n"
                       (Tr.digest_hex (Sp.digest sb));
                     Format.printf "%a@." Sp.Agg.pp (Sp.Agg.compute (Sp.spans sb))
-                | [] -> ());
-                (match agree with
-                | Some true ->
-                    print_endline "\nper-opcode simulated totals: backends agree"
-                | Some false ->
-                    print_endline "\nper-opcode simulated totals: BACKEND MISMATCH"
-                | None -> ());
-                (match fuel_agree with
-                | Some true -> print_endline "fuel attribution: backends agree"
-                | Some false -> print_endline "fuel attribution: BACKEND MISMATCH"
-                | None -> ());
-                (match spans_agree with
-                | Some true -> print_endline "span digests: backends agree"
-                | Some false -> print_endline "span digests: BACKEND MISMATCH"
                 | None -> ());
                 if watch then print_stat_watch reg
               end;
-              (match (agree, fuel_agree, spans_agree) with
-              | Some false, _, _ ->
-                  Printf.eprintf
-                    "interp and compiled disagree on per-opcode simulated cycles\n";
-                  1
-              | _, Some false, _ ->
-                  Printf.eprintf "interp and compiled disagree on fuel attribution\n";
-                  1
-              | _, _, Some false ->
-                  Printf.eprintf "interp and compiled disagree on span digests\n";
-                  1
-              | _ -> 0)
+              0
         end
   in
   Cmd.v
@@ -1029,8 +840,8 @@ let stat_cmd =
        ~doc:
          "Run a scenario under the metrics registry and print the snapshot: counters, \
           gauges, latency histogram percentiles, sim-tick time series and the \
-          per-opcode executor profile for each backend.")
-    Term.(const run $ scenario_args $ backends $ json $ prom $ watch $ tick $ spans_flag)
+          per-opcode executor profile.")
+    Term.(const run $ scenario_args $ json $ prom $ watch $ tick $ spans_flag)
 
 (* ------------------------------------------------------------------ *)
 (* spans                                                               *)
@@ -1059,7 +870,7 @@ let spans_cmd =
         & info [ "file" ] ~docv:"FILE"
             ~doc:
               "Build spans offline from a recorded .trace instead of running a \
-               scenario (skips the cross-backend check).")
+               scenario.")
   in
   let output =
     Arg.(value & opt (some string) None
@@ -1107,42 +918,20 @@ let spans_cmd =
             render ~label:path (Sp.of_events r.Tr.Recorded.events);
             0)
     | Ok scenario, None -> (
-        (* run the scenario on both backends: the span digests must be
-           bit-identical, exactly as the trace digests are *)
-        let build backend =
-          let saved = Executor.default_backend () in
-          Executor.set_default_backend backend;
-          Fun.protect
-            ~finally:(fun () -> Executor.set_default_backend saved)
-            (fun () ->
-              Result.map
-                (fun r -> Sp.of_events r.Tr.Recorded.events)
-                (Trace_run.record scenario))
-        in
-        match (build Executor.Interp, build Executor.Compiled) with
-        | Error e, _ | _, Error e ->
+        match Trace_run.record scenario with
+        | Error e ->
             Printf.eprintf "scenario failed: %s\n" e;
             1
-        | Ok bi, Ok bc ->
-            if not (Int64.equal (Sp.digest bi) (Sp.digest bc)) then begin
-              Printf.eprintf
-                "span digests diverge across backends: interp %s, compiled %s\n"
-                (Tr.digest_hex (Sp.digest bi))
-                (Tr.digest_hex (Sp.digest bc));
-              1
-            end
-            else begin
-              render ~label:(scenario_name scenario) bi;
-              0
-            end)
+        | Ok r ->
+            render ~label:(scenario_name scenario) (Sp.of_events r.Tr.Recorded.events);
+            0)
   in
   Cmd.v
     (Cmd.info "spans"
        ~doc:
          "Reconstruct causal fault-lifecycle spans for a scenario (or a recorded \
           .trace) and print the critical-path attribution table: per-segment totals, \
-          p50/p90/p99, and where the p99 tail's latency went.  Scenario runs execute \
-          on both backends and exit nonzero if the span digests diverge.")
+          p50/p90/p99, and where the p99 tail's latency went.")
     Term.(
       const run $ scenario_args $ json $ perfetto $ tenant $ file $ output $ show)
 
@@ -1374,16 +1163,12 @@ let print_witness (w : Adversary.witness) =
 let print_confirmation (c : Adversary.confirmation) =
   List.iter
     (fun (l : Adversary.confirmed_level) ->
-      Printf.printf
-        "  %d frames: oracle %d faults, interp %d (digest %s), compiled %d (digest %s)\n"
+      Printf.printf "  %d frames: oracle %d faults, executor %d (digest %s)\n"
         l.Adversary.cl_frames l.Adversary.cl_oracle_faults
-        l.Adversary.cl_interp.Adversary.x_faults
-        (Tr.digest_hex l.Adversary.cl_interp.Adversary.x_digest)
-        l.Adversary.cl_compiled.Adversary.x_faults
-        (Tr.digest_hex l.Adversary.cl_compiled.Adversary.x_digest))
+        l.Adversary.cl_run.Adversary.x_faults
+        (Tr.digest_hex l.Adversary.cl_run.Adversary.x_digest))
     [ c.Adversary.c_lo; c.Adversary.c_hi ];
-  Printf.printf "  backends agree: %b, oracle-exact: %b, anomaly holds: %b\n"
-    (Adversary.backends_agree c) (Adversary.matches_oracle c)
+  Printf.printf "  oracle-exact: %b, anomaly holds: %b\n" (Adversary.matches_oracle c)
     (Adversary.anomaly_holds c)
 
 (* Confirm a found witness end to end; on success optionally record it
@@ -1449,7 +1234,7 @@ let adversary_search_cmd =
        ~doc:
          "Hunt for a Belady-anomaly witness against a policy: seeded random probes, \
           then a mutation hill-climb scored by the pure oracles; any witness found is \
-          confirmed through the real executor on both backends.")
+          confirmed through the real executor.")
     Term.(const run $ adversary_config_term $ save)
 
 let adversary_replay_cmd =
@@ -1457,25 +1242,18 @@ let adversary_replay_cmd =
     Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc:"Witness .trace recordings.")
   in
   let run files =
-    let replay_on backend path r =
-      let saved = Executor.default_backend () in
-      Executor.set_default_backend backend;
-      Fun.protect
-        ~finally:(fun () -> Executor.set_default_backend saved)
-        (fun () ->
-          match Trace_run.replay r with
-          | Error e ->
-              Printf.eprintf "%s [%s]: replay failed: %s\n" path
-                (Executor.backend_name backend) e;
-              false
-          | Ok o ->
-              if Trace_run.matches o then true
-              else begin
-                Printf.eprintf "%s [%s]: digest mismatch\n" path
-                  (Executor.backend_name backend);
-                Option.iter print_divergence o.Trace_run.divergence;
-                false
-              end)
+    let replay path r =
+      match Trace_run.replay r with
+      | Error e ->
+          Printf.eprintf "%s: replay failed: %s\n" path e;
+          false
+      | Ok o ->
+          if Trace_run.matches o then true
+          else begin
+            Printf.eprintf "%s: digest mismatch\n" path;
+            Option.iter print_divergence o.Trace_run.divergence;
+            false
+          end
     in
     let rows =
       List.map
@@ -1487,16 +1265,12 @@ let adversary_replay_cmd =
                 Option.bind (Tr.Recorded.meta_find r "frames") int_of_string_opt
               in
               let faults = Trace_run.hipec_faults r in
-              let ok =
-                List.for_all
-                  (fun b -> replay_on b path r)
-                  [ Executor.Interp; Executor.Compiled ]
-              in
+              let ok = replay path r in
               Printf.printf "%s: frames=%s faults=%d digest %s — %s\n" path
                 (match frames with Some f -> string_of_int f | None -> "?")
                 faults
                 (Tr.digest_hex r.Tr.Recorded.digest)
-                (if ok then "reproduced on both backends" else "FAILED");
+                (if ok then "reproduced" else "FAILED");
               Some (ok, frames, faults))
         files
     in
@@ -1532,7 +1306,7 @@ let adversary_replay_cmd =
   Cmd.v
     (Cmd.info "replay-witness"
        ~doc:
-         "Replay recorded anomaly witnesses on both executor backends, requiring each \
+         "Replay recorded anomaly witnesses through the executor, requiring each \
           digest to reproduce; given the lo/hi pair of one witness, also re-checks \
           that the anomaly still holds.")
     Term.(const run $ files)

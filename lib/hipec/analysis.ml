@@ -23,7 +23,7 @@
    operands.  The only entry facts admitted are the install-time values
    of int operands that no event ever writes (when [analyze] is given
    the operand array); those are the "install-time constants" the
-   divisor-nonzero fusion facts rest on.  Must-facts (typestate
+   divisor-nonzero facts rest on.  Must-facts (typestate
    warnings, dead edges) are derived only from within-event transfer,
    so a proven fact holds on every concrete execution of the event.
 

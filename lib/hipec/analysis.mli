@@ -18,10 +18,9 @@
     analyzed program.  Entry states assume nothing about mutable
     operands; only install-time values of int operands no event ever
     writes (available when [analyze] is given the operand array) seed
-    the entry environment.  The compiled backend keeps its defensive
-    runtime checks regardless, so executor correctness never depends on
-    these facts — they only unlock better fusion plans and earlier
-    diagnostics. *)
+    the entry environment.  The executor keeps its defensive runtime
+    checks regardless, so its correctness never depends on these facts —
+    they only feed lint, the fuel verdict and earlier diagnostics. *)
 
 (** Integer intervals with infinite bounds. *)
 module Interval : sig
@@ -127,7 +126,7 @@ val possible_traps : t -> trap list
 
 val safe_div : t -> event:int -> cc:int -> bool
 (** The command at [cc] is a Div/Rem whose divisor interval excludes
-    zero — safe to fuse into an arith chain. *)
+    zero, so it cannot trap. *)
 
 val div_interval : t -> event:int -> cc:int -> Interval.t option
 (** The divisor interval at a Div/Rem site, if [cc] is one. *)

@@ -10,9 +10,9 @@ type t = {
   analyses : (int, Analysis.t) Hashtbl.t;  (* container id -> install-time analysis *)
 }
 
-let init ?burst_fraction ?max_steps ?backend ?checker_timeout ?checker_wakeup
+let init ?burst_fraction ?max_steps ?checker_timeout ?checker_wakeup
     ?(start_checker = true) kernel =
-  let manager = Frame_manager.create ~kernel ?burst_fraction ?max_steps ?backend () in
+  let manager = Frame_manager.create ~kernel ?burst_fraction ?max_steps () in
   let checker =
     Checker.create ?timeout:checker_timeout ?initial_wakeup:checker_wakeup ~kernel ~manager
       ()
@@ -172,15 +172,11 @@ let hipec_region_of_spec t task region spec =
           match Frame_manager.admit t.manager container with
           | Error msg -> fail msg
           | Ok () ->
-              (* decode-once: under the compiled backend the accepted
-                 program is translated here, at install time, so no
-                 fault ever pays the decode cost *)
-              Executor.precompile (Frame_manager.executor t.manager) container;
               install_command_buffer t task container;
               install_hook t container;
               (* install-time abstract interpretation: static fuel
-                 bounds for the per-tenant throttle, trap-class proofs,
-                 and the facts the compiled backend fuses against *)
+                 bounds for the per-tenant throttle and trap-class
+                 proofs *)
               Hashtbl.replace t.analyses (Container.id container)
                 (Analysis.analyze ~ops:operands spec.policy);
               Ok (region, container)))

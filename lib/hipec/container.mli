@@ -56,7 +56,7 @@ val execution_started : t -> Sim_time.t option
 
 val start_execution : t -> at:Sim_time.t -> unit
 val stop_execution : t -> unit
-(** Allocation-free setters used by the executor backends per run. *)
+(** Allocation-free setters used by the executor per run. *)
 
 val set_execution_started : t -> Sim_time.t option -> unit
 (** Compatibility wrapper over {!start_execution}/{!stop_execution}. *)

@@ -2,7 +2,7 @@ open Hipec_sim
 open Hipec_machine
 open Hipec_vm
 
-type services = Compiled.services = {
+type services = {
   request_frames : Container.t -> int -> bool;
   release_count : Container.t -> count:int -> int;
   release_page : Container.t -> Vm_page.t -> (unit, string) result;
@@ -12,99 +12,29 @@ type services = Compiled.services = {
 
 type outcome = Returned of Operand.value option | Runtime_error of string | Timed_out
 
-type backend = Interp | Compiled
-
-let backend_name = function Interp -> "interp" | Compiled -> "compiled"
-
-let backend_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "interp" | "interpreter" -> Some Interp
-  | "compiled" | "compile" -> Some Compiled
-  | _ -> None
-
-(* Process default, so workloads that build their own kernels pick up a
-   CLI/bench/environment selection without threading configuration. *)
-let default =
-  ref
-    (match Option.bind (Sys.getenv_opt "HIPEC_BACKEND") backend_of_string with
-    | Some b -> b
-    | None -> Interp)
-
-let default_backend () = !default
-let set_default_backend b = default := b
-
 type t = {
   max_steps : int;
   max_activation_depth : int;
   engine : Engine.t;
   costs : Costs.t;
   services : services;
-  backend : backend;
-  counter : int ref;  (* commands executed, shared with compiled code *)
-  compiled : (int, Compiled.t) Hashtbl.t;  (* container id -> compiled program *)
-  mutable last_compiled : Compiled.t option;
-      (* one-slot cache over [compiled]: fault streams hit the same
-         container repeatedly, so the common lookup is pointer-equal *)
+  mutable counter : int;  (* commands executed across all runs *)
 }
 
-let create ?(max_steps = 100_000) ?(max_activation_depth = 16) ?backend ~engine ~costs
-    ~services () =
-  let backend = match backend with Some b -> b | None -> !default in
-  {
-    max_steps;
-    max_activation_depth;
-    engine;
-    costs;
-    services;
-    backend;
-    counter = ref 0;
-    compiled = Hashtbl.create 8;
-    last_compiled = None;
-  }
+let create ?(max_steps = 100_000) ?(max_activation_depth = 16) ~engine ~costs ~services () =
+  { max_steps; max_activation_depth; engine; costs; services; counter = 0 }
 
-let commands_executed t = !(t.counter)
-let backend t = t.backend
+let commands_executed t = t.counter
 let max_steps t = t.max_steps
 
-let compiled_for t container =
-  match t.last_compiled with
-  | Some c when Compiled.container c == container -> c
-  | _ ->
-      let key = Container.id container in
-      let c =
-        match Hashtbl.find_opt t.compiled key with
-        | Some c -> c
-        | None ->
-            let c =
-              Compiled.compile ~engine:t.engine ~costs:t.costs
-                ~max_steps:t.max_steps
-                ~max_activation_depth:t.max_activation_depth
-                ~services:t.services ~counter:t.counter container
-            in
-            Hashtbl.replace t.compiled key c;
-            c
-      in
-      t.last_compiled <- Some c;
-      c
-
-let precompile t container =
-  match t.backend with Compiled -> ignore (compiled_for t container) | Interp -> ()
-
-let forget t container =
-  (match t.last_compiled with
-  | Some c when Compiled.container c == container -> t.last_compiled <- None
-  | _ -> ());
-  Hashtbl.remove t.compiled (Container.id container)
-
-(* Internal execution result: a value, an error, or budget exhaustion
-   (shared with the compiled backend). *)
-type exec = Compiled.exec = Value of Operand.value option | Err of string | Tout
+(* Internal execution result: a value, an error, or budget exhaustion. *)
+type exec = Value of Operand.value option | Err of string | Tout
 
 let ( let* ) r k = match r with Ok v -> k v | Error e -> Err e
 
 module Mx = Hipec_metrics.Metrics
 
-let run_interp t container ~event ~prof =
+let interpret t container ~event ~prof =
   let ops = Container.operands container in
   let free_q = Container.free_queue container in
   let charge d = Engine.advance t.engine d in
@@ -177,9 +107,8 @@ let run_interp t container ~event ~prof =
               Err (Printf.sprintf "%s: control ran past CC %d" (Events.name event) cc)
             else begin
               let instr = code.(cc) in
-              (* Profiler boundary, matching the compiled prologue:
-                 the interval since the previous fetch is attributed to
-                 the previously fetched opcode. *)
+              (* Profiler boundary: the interval since the previous
+                 fetch is attributed to the previously fetched opcode. *)
               (match prof with
               | None -> ()
               | Some pr ->
@@ -187,7 +116,7 @@ let run_interp t container ~event ~prof =
                     ~opcode:(Opcode.code (Instr.opcode instr))
                     ~sim_ns:(Sim_time.to_ns (Engine.now t.engine)));
               incr steps;
-              incr t.counter;
+              t.counter <- t.counter + 1;
               Container.count_commands container 1;
               charge t.costs.Costs.hipec_fetch_decode;
               if !steps > t.max_steps then Tout
@@ -342,21 +271,13 @@ let run_interp t container ~event ~prof =
   with Invalid_argument m -> Err (Printf.sprintf "kernel check failed: %s" m)
 
 let run t container ~event =
-  (* Per-opcode profiling is backend-symmetric: both prologues place the
-     boundary at the same simulated instants, so simulated-cycle totals
-     agree between Interp and Compiled (only wall-ns differs). *)
   let prof =
     if Mx.on () then
-      Mx.profile_begin ~backend:(backend_name t.backend)
-        ~container:(Container.id container)
+      Mx.profile_begin ~container:(Container.id container)
         ~sim_ns:(Sim_time.to_ns (Engine.now t.engine))
     else None
   in
-  let result =
-    match t.backend with
-    | Interp -> run_interp t container ~event ~prof
-    | Compiled -> Compiled.run ?prof (compiled_for t container) ~event
-  in
+  let result = interpret t container ~event ~prof in
   (match prof with
   | None -> ()
   | Some pr -> Mx.profile_end pr ~sim_ns:(Sim_time.to_ns (Engine.now t.engine)));

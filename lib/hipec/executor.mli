@@ -5,14 +5,9 @@
     the operations — entirely in kernel context, so the only cost is
     ~50 ns of fetch+decode per command (see {!Hipec_machine.Costs}).
 
-    Two backends execute the same semantics:
-
-    - {!Interp} re-decodes every command word on each fetch (the
-      reference implementation);
-    - {!Compiled} translates each event's command array into threaded
-      OCaml closures once, at install time (see {!Compiled}), and is
-      observationally identical — same simulated-time charges, counters,
-      error strings and trace digests — just faster on the host clock.
+    Every command word is decoded on every fetch, exactly as the
+    paper's in-kernel interpreter does: this module is the one policy
+    engine.
 
     On entry it stamps the container with the current time; the security
     checker polls that stamp to detect runaway policies.  Execution is
@@ -26,7 +21,7 @@ open Hipec_vm
 
 (** Kernel services the executor's privileged commands call into
     (implemented by {!Frame_manager}). *)
-type services = Compiled.services = {
+type services = {
   request_frames : Container.t -> int -> bool;
       (** [Request]: grant [n] frames onto the container's free queue,
           or reject *)
@@ -50,55 +45,25 @@ type outcome =
   | Timed_out
       (** step budget exhausted; container left stamped for the checker *)
 
-(** {1 Backend selection} *)
-
-type backend =
-  | Interp  (** decode every command word on every fetch *)
-  | Compiled  (** decode once at install into threaded closures *)
-
-val backend_name : backend -> string
-val backend_of_string : string -> backend option
-(** ["interp"] / ["compiled"] (and common aliases). *)
-
-val default_backend : unit -> backend
-val set_default_backend : backend -> unit
-(** Process-wide default for executors created without an explicit
-    [?backend] — how the CLI/bench [--backend] flag reaches workloads
-    that build their own kernels.  Initialized from the [HIPEC_BACKEND]
-    environment variable ("compiled" selects the compiled backend);
-    otherwise {!Interp}. *)
-
 type t
 
 val create :
   ?max_steps:int ->
   ?max_activation_depth:int ->
-  ?backend:backend ->
   engine:Engine.t ->
   costs:Costs.t ->
   services:services ->
   unit ->
   t
-(** Defaults: 100_000 steps, depth 16, {!default_backend}[ ()]. *)
-
-val backend : t -> backend
+(** Defaults: 100_000 steps, depth 16. *)
 
 val run : t -> Container.t -> event:int -> outcome
 (** Execute the container's handler for [event].  Charges
-    [hipec_dispatch] once plus [hipec_fetch_decode] per command,
-    identically under either backend. *)
-
-val precompile : t -> Container.t -> unit
-(** Translate the container's program now (a no-op under {!Interp}) —
-    called from the install path so the decode cost is paid once, at
-    [vm_map_hipec] time, never on a fault. *)
-
-val forget : t -> Container.t -> unit
-(** Drop the container's cached compiled program (teardown/demotion). *)
+    [hipec_dispatch] once plus [hipec_fetch_decode] per command. *)
 
 val commands_executed : t -> int
 (** Total across all runs (instrumentation). *)
 
 val max_steps : t -> int
-(** The per-run step budget both backends enforce; the frame manager's
+(** The per-run step budget; the frame manager's
     fuel ledger derives its default windowed quota from it. *)

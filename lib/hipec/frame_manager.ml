@@ -340,10 +340,7 @@ let charge_fuel t container ~delta =
     end;
     Container.burn_fuel container delta;
     if Mx.on () && delta > 0 then
-      Mx.add
-        ("hipec.fuel." ^ Executor.backend_name (Executor.backend (executor t))
-       ^ ".commands")
-        delta;
+      Mx.add "hipec.fuel.commands" delta;
     if (not (Container.throttled container))
        && Container.fuel_used container > t.fuel_quota
     then enter_throttle t container
@@ -437,7 +434,6 @@ let demote t container ~reason =
     Kernel.clear_manager t.kernel (Container.obj container);
     Container.stop_execution container;
     Container.set_degraded container ~reason ~at:(Kernel.now t.kernel);
-    Option.iter (fun e -> Executor.forget e container) t.executor;
     t.stats.demotions <- t.stats.demotions + 1;
     Tr.demote ~container:(Container.id container) ~reason;
     if Mx.on () then Mx.incr "hipec.manager.demotions";
@@ -459,7 +455,6 @@ let remove_container t container ~flush_dirty =
     t.containers <- List.filter (fun c -> not (same_container container c)) t.containers;
     let rec drain () = if seize_one t container ~flush_dirty then drain () in
     drain ();
-    Option.iter (fun e -> Executor.forget e container) t.executor;
     Kernel.clear_manager t.kernel (Container.obj container)
   end
 
@@ -942,7 +937,7 @@ let page_fault t container ~fault_va =
 (* Creation: wire the executor's services to this manager              *)
 (* ------------------------------------------------------------------ *)
 
-let create ~kernel ?(burst_fraction = 0.5) ?max_steps ?backend () =
+let create ~kernel ?(burst_fraction = 0.5) ?max_steps () =
   if burst_fraction < 0. || burst_fraction > 1. then
     invalid_arg "Frame_manager.create: burst_fraction outside [0,1]";
   let t =
@@ -1011,6 +1006,6 @@ let create ~kernel ?(burst_fraction = 0.5) ?max_steps ?backend () =
   in
   t.executor <-
     Some
-      (Executor.create ?max_steps ?backend ~engine:(Kernel.engine kernel)
+      (Executor.create ?max_steps ~engine:(Kernel.engine kernel)
          ~costs:(Kernel.costs kernel) ~services ());
   t

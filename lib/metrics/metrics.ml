@@ -7,14 +7,10 @@
    hashing.  With a registry installed, emits pay one hashtable lookup
    on an interned literal name.
 
-   Everything the registry accumulates is split into two worlds:
-
-   - simulated-time fields (counters, gauges, histogram buckets, series
-     points, per-opcode [sim_ns]) are deterministic functions of the
-     simulation and safe to compare byte-for-byte across runs;
-   - wall-clock fields (the profiler's [wall_ns]) are measurements of
-     the host and are kept in clearly segregated fields that every
-     exposition format can omit ([~wall:false]). *)
+   Everything the registry accumulates (counters, gauges, histogram
+   buckets, series points, per-opcode [sim_ns]) is a deterministic
+   function of the simulation and safe to compare byte-for-byte across
+   runs. *)
 
 open Hipec_sim
 
@@ -87,22 +83,20 @@ module Profile = struct
      code space and display layers map indices back to names. *)
   let slots = 32
 
-  type cell = { mutable count : int; mutable sim_ns : int; mutable wall_ns : int }
+  type cell = { mutable count : int; mutable sim_ns : int }
 
-  let fresh_cell () = { count = 0; sim_ns = 0; wall_ns = 0 }
+  let fresh_cell () = { count = 0; sim_ns = 0 }
 
   type t = {
-    backend : string;
     container : int;
     cells : cell array;  (* indexed by opcode code *)
     overhead : cell;  (* dispatch + entry work before the first fetch *)
     mutable runs : int;
   }
 
-  let create ~backend ~container =
-    { backend; container; cells = Array.init slots (fun _ -> fresh_cell ()); overhead = fresh_cell (); runs = 0 }
+  let create ~container =
+    { container; cells = Array.init slots (fun _ -> fresh_cell ()); overhead = fresh_cell (); runs = 0 }
 
-  let backend t = t.backend
   let container t = t.container
   let runs t = t.runs
   let cells t = t.cells
@@ -116,39 +110,24 @@ module Profile = struct
   (* One top-level executor run.  Attribution is by boundary timers: at
      each fetch the interval since the previous boundary is charged to
      the previously fetched opcode's cell (the overhead cell absorbs the
-     dispatch charge before the first fetch), then the boundary moves.
-     Wall time is measured relative to [base_wall] so ns precision
-     survives the float mantissa. *)
-  type run = {
-    prof : t;
-    base_wall : float;
-    mutable pending : cell;
-    mutable sim0 : int;
-    mutable wall0 : int;
-  }
-
-  let wall_now run = int_of_float ((Unix.gettimeofday () -. run.base_wall) *. 1e9)
+     dispatch charge before the first fetch), then the boundary moves. *)
+  type run = { prof : t; mutable pending : cell; mutable sim0 : int }
 
   let begin_run prof ~sim_ns =
     prof.runs <- prof.runs + 1;
-    { prof; base_wall = Unix.gettimeofday (); pending = prof.overhead; sim0 = sim_ns; wall0 = 0 }
+    { prof; pending = prof.overhead; sim0 = sim_ns }
 
   let step run ~opcode ~sim_ns =
-    let w = wall_now run in
     let prev = run.pending in
     prev.sim_ns <- prev.sim_ns + (sim_ns - run.sim0);
-    prev.wall_ns <- prev.wall_ns + (w - run.wall0);
     let cell = run.prof.cells.(opcode) in
     cell.count <- cell.count + 1;
     run.pending <- cell;
-    run.sim0 <- sim_ns;
-    run.wall0 <- w
+    run.sim0 <- sim_ns
 
   let finish run ~sim_ns =
-    let w = wall_now run in
     let prev = run.pending in
-    prev.sim_ns <- prev.sim_ns + (sim_ns - run.sim0);
-    prev.wall_ns <- prev.wall_ns + (w - run.wall0)
+    prev.sim_ns <- prev.sim_ns + (sim_ns - run.sim0)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -165,7 +144,7 @@ module Registry = struct
     tick_ns : int;
     series_cap : int;
     tbl : (string, metric) Hashtbl.t;
-    profiles : (string * int, Profile.t) Hashtbl.t;
+    profiles : (int, Profile.t) Hashtbl.t;  (* dense container id -> profile *)
     norm : (int, int) Hashtbl.t;  (* raw container id -> dense *)
     mutable next_norm : int;
   }
@@ -268,28 +247,23 @@ module Registry = struct
     Hashtbl.fold (fun _ m acc -> match m with Srs s -> s :: acc | _ -> acc) t.tbl []
     |> List.sort (fun a b -> compare (Series.name a) (Series.name b))
 
-  let profile t ~backend ~container =
+  let profile t ~container =
     let container = norm_container t container in
-    let key = (backend, container) in
-    match Hashtbl.find_opt t.profiles key with
+    match Hashtbl.find_opt t.profiles container with
     | Some p -> p
     | None ->
-        let p = Profile.create ~backend ~container in
-        Hashtbl.replace t.profiles key p;
+        let p = Profile.create ~container in
+        Hashtbl.replace t.profiles container p;
         p
 
   let profiles t =
     Hashtbl.fold (fun _ p acc -> p :: acc) t.profiles []
-    |> List.sort (fun a b ->
-           match compare a.Profile.backend b.Profile.backend with
-           | 0 -> compare a.Profile.container b.Profile.container
-           | c -> c)
+    |> List.sort (fun a b -> compare a.Profile.container b.Profile.container)
 
-  (* Aggregate the per-container profiles of one backend into a single
-     cell array (plus overhead cell and total run count). *)
-  let profile_totals t ~backend =
-    let relevant = List.filter (fun p -> p.Profile.backend = backend) (profiles t) in
-    match relevant with
+  (* Aggregate the per-container profiles into a single cell array (plus
+     overhead cell and total run count). *)
+  let profile_totals t =
+    match profiles t with
     | [] -> None
     | ps ->
         let cells = Array.init Profile.slots (fun _ -> Profile.fresh_cell ()) in
@@ -300,12 +274,10 @@ module Registry = struct
             runs := !runs + p.Profile.runs;
             overhead.Profile.count <- overhead.Profile.count + p.Profile.overhead.Profile.count;
             overhead.Profile.sim_ns <- overhead.Profile.sim_ns + p.Profile.overhead.Profile.sim_ns;
-            overhead.Profile.wall_ns <- overhead.Profile.wall_ns + p.Profile.overhead.Profile.wall_ns;
             Array.iteri
               (fun i c ->
                 cells.(i).Profile.count <- cells.(i).Profile.count + c.Profile.count;
-                cells.(i).Profile.sim_ns <- cells.(i).Profile.sim_ns + c.Profile.sim_ns;
-                cells.(i).Profile.wall_ns <- cells.(i).Profile.wall_ns + c.Profile.wall_ns)
+                cells.(i).Profile.sim_ns <- cells.(i).Profile.sim_ns + c.Profile.sim_ns)
               p.Profile.cells)
           ps;
         Some (cells, overhead, !runs)
@@ -349,7 +321,7 @@ module Registry = struct
     let prof =
       List.map
         (fun p ->
-          ( Printf.sprintf "opcode profile %s/c%d" p.Profile.backend p.Profile.container,
+          ( Printf.sprintf "opcode profile c%d" p.Profile.container,
             Printf.sprintf "runs=%d cmds=%d sim_ns=%d" p.Profile.runs
               (Profile.count_total p) (Profile.sim_total p) ))
         (profiles t)
@@ -371,7 +343,7 @@ module Registry = struct
 
   let default_opcode_name i = Printf.sprintf "op%02d" i
 
-  let json_of_profile ?(wall = true) ~opcode_name ~runs ~label (cells : Profile.cell array)
+  let json_of_profile ~opcode_name ~runs ~label (cells : Profile.cell array)
       (overhead : Profile.cell) =
     let b = Buffer.create 512 in
     Buffer.add_string b "{";
@@ -386,16 +358,13 @@ module Registry = struct
           Buffer.add_string b
             (Printf.sprintf "{\"op\":%d,\"name\":\"%s\",\"count\":%d,\"sim_ns\":%d" i
                (json_escape (opcode_name i)) c.Profile.count c.Profile.sim_ns);
-          if wall then Buffer.add_string b (Printf.sprintf ",\"wall_ns\":%d" c.Profile.wall_ns);
           Buffer.add_char b '}'
         end)
       cells;
     Buffer.add_string b "],";
     Buffer.add_string b
-      (Printf.sprintf "\"overhead\":{\"count\":%d,\"sim_ns\":%d" overhead.Profile.count
+      (Printf.sprintf "\"overhead\":{\"count\":%d,\"sim_ns\":%d}," overhead.Profile.count
          overhead.Profile.sim_ns);
-    if wall then Buffer.add_string b (Printf.sprintf ",\"wall_ns\":%d" overhead.Profile.wall_ns);
-    Buffer.add_string b "},";
     let sim_total =
       Array.fold_left (fun acc (c : Profile.cell) -> acc + c.Profile.sim_ns) overhead.Profile.sim_ns cells
     in
@@ -403,9 +372,9 @@ module Registry = struct
     Buffer.contents b
 
   (* Deterministic JSON snapshot: metric names sorted, series points in
-     sim-time order, wall-ns fields present only when [wall].  With
-     [wall:false] two identical seeded runs serialize identically. *)
-  let to_json ?(wall = true) ?(opcode_name = default_opcode_name) t =
+     sim-time order, so two identical seeded runs serialize
+     identically. *)
+  let to_json ?(opcode_name = default_opcode_name) t =
     let b = Buffer.create 4096 in
     Buffer.add_string b (Printf.sprintf "{\"tick_ns\":%d,\"counters\":{" t.tick_ns);
     let first = ref true in
@@ -471,12 +440,9 @@ module Registry = struct
     List.iter
       (fun p ->
         sep ();
-        let label =
-          Printf.sprintf "\"backend\":\"%s\",\"container\":%d," (json_escape p.Profile.backend)
-            p.Profile.container
-        in
+        let label = Printf.sprintf "\"container\":%d," p.Profile.container in
         Buffer.add_string b
-          (json_of_profile ~wall ~opcode_name ~runs:p.Profile.runs ~label p.Profile.cells
+          (json_of_profile ~opcode_name ~runs:p.Profile.runs ~label p.Profile.cells
              p.Profile.overhead))
       (profiles t);
     Buffer.add_string b "]}";
@@ -586,9 +552,7 @@ module Registry = struct
                 (fun i (c : Profile.cell) ->
                   if c.Profile.count > 0 then
                     Buffer.add_string b
-                      (Printf.sprintf "%s{backend=\"%s\",container=\"%d\",op=\"%s\"} %d\n"
-                         fname
-                         (prom_label_escape p.Profile.backend)
+                      (Printf.sprintf "%s{container=\"%d\",op=\"%s\"} %d\n" fname
                          p.Profile.container
                          (prom_label_escape (opcode_name i))
                          (value c)))
@@ -599,8 +563,6 @@ module Registry = struct
       (fun c -> c.Profile.count);
     profile_family "sim_ns_total" "Simulated nanoseconds attributed per opcode."
       (fun c -> c.Profile.sim_ns);
-    profile_family "wall_ns_total" "Wall-clock nanoseconds attributed per opcode."
-      (fun c -> c.Profile.wall_ns);
     Buffer.contents b
 end
 
@@ -649,12 +611,12 @@ let sample name v =
   | None -> ()
   | Some r -> Registry.sample r name ~now_ns:(Sim_time.to_ns (!clock ())) v
 
-(* Profiler entry points for the executor backends. *)
+(* Profiler entry points for the executor. *)
 
-let profile_begin ~backend ~container ~sim_ns =
+let profile_begin ~container ~sim_ns =
   match !current with
   | None -> None
-  | Some r -> Some (Profile.begin_run (Registry.profile r ~backend ~container) ~sim_ns)
+  | Some r -> Some (Profile.begin_run (Registry.profile r ~container) ~sim_ns)
 
 let profile_step run ~opcode ~sim_ns = Profile.step run ~opcode ~sim_ns
 let profile_end run ~sim_ns = Profile.finish run ~sim_ns

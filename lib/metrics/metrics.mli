@@ -6,11 +6,9 @@
     hot paths guard with [if Metrics.on () then ...] and pass literal
     metric names, so the disabled path allocates nothing.
 
-    Deterministic by construction in simulated-time terms: counters,
-    gauges, histogram buckets, series points and the profiler's [sim_ns]
-    depend only on the simulation, while host wall-clock measurements
-    live in segregated [wall_ns] fields every exposition format can omit
-    ([~wall:false]), keeping golden digests and replay byte-stable. *)
+    Deterministic by construction: counters, gauges, histogram buckets,
+    series points and the profiler's [sim_ns] depend only on the
+    simulation, keeping golden digests and replay byte-stable. *)
 
 open Hipec_sim
 
@@ -33,19 +31,17 @@ module Series : sig
   (** Points in sim-time order, oldest first. *)
 end
 
-(** Per-opcode executor profiler: simulated ns and host wall ns
-    attributed to each opcode of an installed policy, per backend and
-    container. *)
+(** Per-opcode executor profiler: commands and simulated ns attributed
+    to each opcode of an installed policy, per container. *)
 module Profile : sig
   val slots : int
   (** Size of the opcode code space; cells are indexed by
       [Opcode.code]. *)
 
-  type cell = { mutable count : int; mutable sim_ns : int; mutable wall_ns : int }
+  type cell = { mutable count : int; mutable sim_ns : int }
 
   type t
 
-  val backend : t -> string
   val container : t -> int
   val runs : t -> int
 
@@ -102,26 +98,25 @@ module Registry : sig
       snapshots do not depend on how many containers earlier runs in the
       same process created. *)
 
-  val profile : t -> backend:string -> container:int -> Profile.t
+  val profile : t -> container:int -> Profile.t
   (** [container] is the raw id; it is normalized via
       {!norm_container} before keying. *)
 
   val profiles : t -> Profile.t list
-  (** Sorted by (backend, container). *)
+  (** Sorted by container. *)
 
-  val profile_totals : t -> backend:string -> (Profile.cell array * Profile.cell * int) option
-  (** Aggregate one backend's profiles across containers:
-      [(per-opcode cells, overhead cell, total runs)]; [None] when the
-      backend never ran. *)
+  val profile_totals : t -> (Profile.cell array * Profile.cell * int) option
+  (** Aggregate the profiles across containers:
+      [(per-opcode cells, overhead cell, total runs)]; [None] when no
+      policy ran. *)
 
   val kstat_lines : t -> (string * string) list
   (** Two-column [(label, value)] lines for {!Hipec_vm.Kstat.pp};
       metric names sorted, profiles last. *)
 
-  val to_json : ?wall:bool -> ?opcode_name:(int -> string) -> t -> string
+  val to_json : ?opcode_name:(int -> string) -> t -> string
   (** Deterministic snapshot: names sorted, series points in sim-time
-      order.  [~wall:false] omits every wall-ns field, making the output
-      a pure function of the simulation. *)
+      order; a pure function of the simulation. *)
 
   val to_prom : ?opcode_name:(int -> string) -> t -> string
   (** Prometheus text exposition (counters, gauges, cumulative-bucket
@@ -165,9 +160,9 @@ val sample : string -> int -> unit
 (** Append to a sim-tick-downsampled time series, stamped with the
     current simulated time. *)
 
-(** {1 Profiler entry points} (used by the executor backends) *)
+(** {1 Profiler entry points} (used by the executor) *)
 
-val profile_begin : backend:string -> container:int -> sim_ns:int -> Profile.run option
+val profile_begin : container:int -> sim_ns:int -> Profile.run option
 (** [None] while no registry is installed. *)
 
 val profile_step : Profile.run -> opcode:int -> sim_ns:int -> unit

@@ -15,9 +15,8 @@
     Because the segments partition the window at event timestamps, their
     durations sum {e exactly} to the fault's measured latency; the
     builder asserts this per fault.  Digests chain FNV-1a over a
-    canonical encoding of every span, so Interp and Compiled executor
-    runs of the same scenario must agree span-for-span exactly as their
-    trace digests do. *)
+    canonical encoding of every span, so two runs of the same scenario
+    agree span-for-span exactly when their trace digests do. *)
 
 type segment_kind =
   | Policy  (** HiPEC policy execution, closed by a [Policy_run] event *)

@@ -423,6 +423,25 @@ let prefetch t obj ~offset =
   in
   loop 1
 
+(* Every serviced fault, whatever its kind, reports through here once
+   it is resolved. *)
+let emit_fault t task ~vpn ~t0 kind =
+  if Tr.on () || Mx.on () then begin
+    let lat = Sim_time.to_ns (Sim_time.sub (now t) t0) in
+    (* the Fault must be the last event of its service window and its
+       latency must span back exactly to t0: Span tiles the window
+       [time - latency, time] from the events between the two *)
+    if Tr.on () then Tr.fault ~task:(Task.id task) ~vpn ~kind ~latency_ns:lat;
+    if Mx.on () then begin
+      Mx.observe (fault_metric kind) lat;
+      Mx.observe "vm.fault.all.ns" lat;
+      Mx.incr "vm.fault.count";
+      let free = Frame.Table.free_count t.frame_table in
+      Mx.gauge_set "vm.free_frames" free;
+      Mx.sample "vm.free_frames.ts" free
+    end
+  end
+
 let fault t task region ~vpn ~write =
   Task.count_fault task;
   t.stats.faults <- t.stats.faults + 1;
@@ -430,23 +449,7 @@ let fault t task region ~vpn ~write =
   | Some p -> Pressure.note_fault p ~now:(now t)
   | None -> ());
   let t0 = now t in
-  let emit kind =
-    if Tr.on () || Mx.on () then begin
-      let lat = Sim_time.to_ns (Sim_time.sub (now t) t0) in
-      (* the Fault must be the last event of its service window and its
-         latency must span back exactly to t0: Span tiles the window
-         [time - latency, time] from the events between the two *)
-      if Tr.on () then Tr.fault ~task:(Task.id task) ~vpn ~kind ~latency_ns:lat;
-      if Mx.on () then begin
-        Mx.observe (fault_metric kind) lat;
-        Mx.observe "vm.fault.all.ns" lat;
-        Mx.incr "vm.fault.count";
-        let free = Frame.Table.free_count t.frame_table in
-        Mx.gauge_set "vm.free_frames" free;
-        Mx.sample "vm.free_frames.ts" free
-      end
-    end
-  in
+  let emit kind = emit_fault t task ~vpn ~t0 kind in
   charge t t.costs.Costs.fault_trap;
   if t.hipec_kernel then charge t t.costs.Costs.hipec_region_check;
   let obj = region.Vm_map.obj in
@@ -536,16 +539,7 @@ let resolve_cow_write t task region ~vpn =
   | None -> ());
   charge t t.costs.Costs.pmap_enter;
   Pmap.protect (Task.pmap task) ~vpn ~prot:region.Vm_map.prot;
-  if Tr.on () || Mx.on () then begin
-    let lat = Sim_time.to_ns (Sim_time.sub (now t) t0) in
-    if Tr.on () then
-      Tr.fault ~task:(Task.id task) ~vpn ~kind:Hipec_trace.Event.Cow ~latency_ns:lat;
-    if Mx.on () then begin
-      Mx.observe (fault_metric Hipec_trace.Event.Cow) lat;
-      Mx.observe "vm.fault.all.ns" lat;
-      Mx.incr "vm.fault.count"
-    end
-  end
+  emit_fault t task ~vpn ~t0 Hipec_trace.Event.Cow
 
 let set_access_recorder t tap = t.access_recorder <- tap
 

@@ -10,8 +10,7 @@
 
     The controller is entirely deterministic: severity is a pure
     function of the simulated clock, the fault counter and the frame
-    counts, so traced runs digest identically across repetitions and
-    executor backends.
+    counts, so traced runs digest identically across repetitions.
 
     Nothing here runs unless {!Kernel.enable_pressure} installs a
     controller — an un-engaged kernel behaves (and traces) exactly as it

@@ -1,5 +1,4 @@
 open Hipec_sim
-open Hipec_core
 open Hipec_trace
 module Oracle = Hipec_trace.Oracle
 
@@ -225,11 +224,6 @@ type executor_run = { x_faults : int; x_digest : int64 }
 let npages_of w =
   1 + Array.fold_left (fun m (a : Oracle.access) -> max m a.Oracle.page) 0 w.w_accesses
 
-let with_backend backend f =
-  let saved = Executor.default_backend () in
-  Executor.set_default_backend backend;
-  Fun.protect ~finally:(fun () -> Executor.set_default_backend saved) f
-
 (* The policy-scenario metadata a recorded witness carries; confirm and
    record_witness both run the witness through this machine. *)
 let witness_cfg w ~frames =
@@ -247,15 +241,10 @@ let record_witness w ~frames = Trace_run.record_accesses (witness_cfg w ~frames)
 type confirmed_level = {
   cl_frames : int;
   cl_oracle_faults : int;
-  cl_interp : executor_run;
-  cl_compiled : executor_run;
+  cl_run : executor_run;
 }
 
-let level_backends_agree l = Int64.equal l.cl_interp.x_digest l.cl_compiled.x_digest
-
-let level_matches_oracle l =
-  l.cl_interp.x_faults = l.cl_oracle_faults
-  && l.cl_compiled.x_faults = l.cl_oracle_faults
+let level_matches_oracle l = l.cl_run.x_faults = l.cl_oracle_faults
 
 type confirmation = {
   c_witness : witness;
@@ -263,34 +252,21 @@ type confirmation = {
   c_hi : confirmed_level;
 }
 
-let backends_agree c = level_backends_agree c.c_lo && level_backends_agree c.c_hi
 let matches_oracle c = level_matches_oracle c.c_lo && level_matches_oracle c.c_hi
 
-let anomaly_holds c = c.c_hi.cl_interp.x_faults > c.c_lo.cl_interp.x_faults
+let anomaly_holds c = c.c_hi.cl_run.x_faults > c.c_lo.cl_run.x_faults
 
-let confirmed c = backends_agree c && matches_oracle c && anomaly_holds c
-
-(* The recording's digest covers the entire event stream (faults,
-   pageins, policy runs, evictions), so two backends agreeing here agree
-   on every observable step. *)
-let run_backend backend w ~frames =
-  with_backend backend (fun () ->
-      Result.map
-        (fun r ->
-          { x_faults = Trace_run.hipec_faults r; x_digest = r.Trace.Recorded.digest })
-        (record_witness w ~frames))
+let confirmed c = matches_oracle c && anomaly_holds c
 
 let confirm w =
   let ( let* ) = Result.bind in
   let level ~frames ~oracle_faults =
-    let* interp = run_backend Executor.Interp w ~frames in
-    let* compiled = run_backend Executor.Compiled w ~frames in
+    let* r = record_witness w ~frames in
     Ok
       {
         cl_frames = frames;
         cl_oracle_faults = oracle_faults;
-        cl_interp = interp;
-        cl_compiled = compiled;
+        cl_run = { x_faults = Trace_run.hipec_faults r; x_digest = r.Trace.Recorded.digest };
       }
   in
   let* lo = level ~frames:w.w_frames_lo ~oracle_faults:w.w_faults_lo in

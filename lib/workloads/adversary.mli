@@ -6,9 +6,8 @@
     stack algorithms like LRU.  The search engine scores candidate
     traces against the pure oracles in {!Hipec_trace.Oracle} (no kernel
     in the loop), climbs by seeded mutation, and then {!confirm}s any
-    witness end-to-end by recording it through the real executor on
-    {e both} backends, requiring bit-identical trace digests and
-    oracle-exact fault counts.  The kernel replay is
+    witness end-to-end by recording it through the real executor,
+    requiring oracle-exact fault counts.  The kernel replay is
     {!Trace_run.record_accesses}, the same harness that writes a
     witness's [.trace] regression files, so a confirmed digest is the
     digest {!record_witness} pins.  Everything is driven by one
@@ -76,8 +75,7 @@ type executor_run = {
 type confirmed_level = {
   cl_frames : int;
   cl_oracle_faults : int;
-  cl_interp : executor_run;
-  cl_compiled : executor_run;
+  cl_run : executor_run;
 }
 
 type confirmation = {
@@ -87,22 +85,17 @@ type confirmation = {
 }
 
 val confirm : witness -> (confirmation, string) result
-(** {!record_witness} at both frame counts under each executor backend;
-    a confirmed witness's digest at each grant is the one
-    {!record_witness} pins. *)
-
-val backends_agree : confirmation -> bool
-(** Interp and Compiled produced bit-identical trace digests at both
-    frame counts. *)
+(** {!record_witness} once at each frame count; a confirmed witness's
+    digest at each grant is the one {!record_witness} pins. *)
 
 val matches_oracle : confirmation -> bool
-(** Every executor run faulted exactly as often as the pure oracle. *)
+(** Both executor runs faulted exactly as often as the pure oracle. *)
 
 val anomaly_holds : confirmation -> bool
 (** The real executor faulted strictly more at the larger grant. *)
 
 val confirmed : confirmation -> bool
-(** All three of the above. *)
+(** Both of the above. *)
 
 (** {2 Golden regression recording} *)
 

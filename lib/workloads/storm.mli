@@ -13,7 +13,7 @@
     whole time.
 
     Everything is deterministic: the same config produces the same trace
-    digest, under either executor backend. *)
+    digest. *)
 
 open Hipec_sim
 

@@ -9,11 +9,7 @@
 
    (b) a claimed [Bounded n] fuel verdict really bounds the commands
        one entry executes — checked by driving the executor directly,
-       entry by entry, against a non-re-entrant service stub.
-
-   Property (c) of the trio — analysis-enabled fusion keeps trace
-   digests bit-identical — lives in test_backend.ml, where the
-   fused/unfused/interp comparison machinery already is. *)
+       entry by entry, against a non-re-entrant service stub. *)
 
 open Hipec_vm
 open Hipec_core
@@ -577,7 +573,7 @@ let soundness_prop =
           (* (b) every event of these loop-free programs gets a static
              bound, and one measured entry never exceeds it *)
           let ex =
-            Executor.create ~backend:Executor.Interp ~engine:(Kernel.engine k)
+            Executor.create ~engine:(Kernel.engine k)
               ~costs:(Kernel.costs k)
               ~services:(stub_services container)
               ()

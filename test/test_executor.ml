@@ -574,9 +574,294 @@ let test_commands_are_charged () =
   in
   Alcotest.(check int) "dispatch + 2 fetches" expected elapsed
 
-(* Every instruction-level test runs under both execution backends: the
-   interpreter and the compile-once closure backend must be
-   observationally identical, down to the simulated-time charges. *)
+(* ------------------------------------------------------------------ *)
+(* Random checker-accepted programs                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* user operand slots every generated program declares *)
+let r_slot = Std.first_user + 4 (* Release count *)
+let uq_slot = Std.first_user + 5 (* a user-declared queue *)
+let up_slot = Std.first_user + 6 (* a second page register *)
+let d_slot = Std.first_user + 7 (* never-written divisor: analysis proves it nonzero *)
+let helper_event = 2
+
+(* Statically valid program snippets; parameters are small ints the
+   builder maps onto opcodes, queues and queue ends. *)
+type tpl =
+  | Arith of int
+  | Branch of int
+  | Logic of int
+  | Emptyq_branch of int
+  | Request of int
+  | Release_count
+  | Complex of int * int (* fifo/lru/mru, queue *)
+  | Shuffle of int * int * int (* src queue, dst queue, end *)
+  | Release_on_queue of int * int (* src queue, dst queue *)
+  | Find_mark of int * int (* bit action, bit which *)
+  | Activate_helper
+  | Safe_div of int  (* Div/Rem by a never-written, nonzero operand *)
+
+type desc = {
+  x0 : int;
+  y0 : int;
+  r0 : int;
+  d0 : int; (* install-time divisor value, >= 1 *)
+  b0 : bool;
+  frames : int;
+  npages : int;
+  tpls : tpl list;
+  accesses : (int * bool) array; (* page, write *)
+}
+
+let arith_ops =
+  Opcode.Arith_op.
+    [| Add; Sub; Mul; Div; Rem; Inc; Dec |]
+
+let comp_ops = Opcode.Comp_op.[| Gt; Lt; Eq; Ne; Ge; Le |]
+let logic_ops = Opcode.Logic_op.[| And; Or; Xor; Not |]
+
+let queue_slot = function
+  | 0 -> Std.free_queue
+  | 1 -> Std.inactive_queue
+  | 2 -> Std.active_queue
+  | _ -> uq_slot
+
+let queue_label = function 0 -> "free" | 1 -> "inact" | 2 -> "act" | _ -> "user"
+let qend = function 0 -> Opcode.Queue_end.Head | _ -> Opcode.Queue_end.Tail
+
+let tpl_name = function
+  | Arith k -> Printf.sprintf "arith:%s" (Opcode.Arith_op.name arith_ops.(k mod 7))
+  | Branch k -> Printf.sprintf "branch:%s" (Opcode.Comp_op.name comp_ops.(k mod 6))
+  | Logic k -> Printf.sprintf "logic:%s" (Opcode.Logic_op.name logic_ops.(k mod 4))
+  | Emptyq_branch q -> Printf.sprintf "emptyq:%s" (queue_label (q mod 4))
+  | Request k -> Printf.sprintf "request:%d" (1 + (k mod 3))
+  | Release_count -> "release-count"
+  | Complex (w, q) ->
+      Printf.sprintf "%s:%s"
+        (match w mod 3 with 0 -> "fifo" | 1 -> "lru" | _ -> "mru")
+        (queue_label (q mod 4))
+  | Shuffle (s, d, e) ->
+      Printf.sprintf "shuffle:%s->%s/%d" (queue_label (s mod 4)) (queue_label (d mod 4))
+        (e mod 2)
+  | Release_on_queue (s, d) ->
+      Printf.sprintf "release-on:%s->%s" (queue_label (s mod 4)) (queue_label (d mod 4))
+  | Find_mark (a, w) -> Printf.sprintf "find-mark:%d.%d" (a mod 2) (w mod 2)
+  | Activate_helper -> "activate"
+  | Safe_div k -> Printf.sprintf "safe-div:%s" (if k mod 2 = 0 then "Div" else "Rem")
+
+let items_of_tpl n tpl =
+  let open Program.Asm in
+  let l s = Printf.sprintf "t%d_%s" n s in
+  match tpl with
+  | Arith k -> [ Op (Instr.Arith (x_slot, y_slot, arith_ops.(k mod 7))) ]
+  | Branch k ->
+      [
+        Op (Instr.Comp (x_slot, y_slot, comp_ops.(k mod 6)));
+        Jump_to (l "else");
+        Op (Instr.Arith (x_slot, x_slot, Opcode.Arith_op.Inc));
+        Jump_to (l "end");
+        Label (l "else");
+        Op (Instr.Arith (y_slot, y_slot, Opcode.Arith_op.Inc));
+        Label (l "end");
+      ]
+  | Logic k ->
+      [
+        Op (Instr.Logic (b1_slot, b2_slot, logic_ops.(k mod 4)));
+        Jump_to (l "end");
+        Label (l "end");
+      ]
+  | Emptyq_branch q ->
+      [
+        Op (Instr.Emptyq (queue_slot (q mod 4)));
+        Jump_to (l "ne");
+        Jump_to (l "end");
+        Label (l "ne");
+        Op (Instr.Arith (x_slot, x_slot, Opcode.Arith_op.Dec));
+        Label (l "end");
+      ]
+  | Request k ->
+      [ Op (Instr.Request (1 + (k mod 3))); Jump_to (l "end"); Label (l "end") ]
+  | Release_count -> [ Op (Instr.Release r_slot); Jump_to (l "end"); Label (l "end") ]
+  | Complex (w, q) ->
+      let instr =
+        let qs = queue_slot (q mod 4) in
+        match w mod 3 with
+        | 0 -> Instr.Fifo qs
+        | 1 -> Instr.Lru qs
+        | _ -> Instr.Mru qs
+      in
+      [ Op instr; Jump_to (l "end"); Label (l "end") ]
+  | Shuffle (s, d, e) ->
+      let src = queue_slot (s mod 4) and dst = queue_slot (d mod 4) in
+      [
+        Op (Instr.Emptyq src);
+        Jump_to (l "go");
+        Jump_to (l "end");
+        Label (l "go");
+        Op (Instr.Dequeue (Std.page_reg, src, Opcode.Queue_end.Head));
+        Op (Instr.Enqueue (Std.page_reg, dst, qend (e mod 2)));
+        Label (l "end");
+      ]
+  | Release_on_queue (s, d) ->
+      let src = queue_slot (s mod 4) and dst = queue_slot (d mod 4) in
+      [
+        Op (Instr.Emptyq src);
+        Jump_to (l "go");
+        Jump_to (l "end");
+        Label (l "go");
+        Op (Instr.Dequeue (up_slot, src, Opcode.Queue_end.Head));
+        Op (Instr.Enqueue (up_slot, dst, Opcode.Queue_end.Tail));
+        Op (Instr.Release up_slot);
+        Jump_to (l "end");
+        Label (l "end");
+      ]
+  | Find_mark (a, w) ->
+      [
+        Op (Instr.Find (up_slot, Std.fault_va));
+        Jump_to (l "nf");
+        Op
+          (Instr.Set
+             ( up_slot,
+               (if a mod 2 = 0 then Opcode.Bit_action.Set_bit
+                else Opcode.Bit_action.Reset_bit),
+               if w mod 2 = 0 then Opcode.Bit_which.Reference
+               else Opcode.Bit_which.Modify ));
+        Label (l "nf");
+      ]
+  | Activate_helper -> [ Op (Instr.Activate helper_event) ]
+  | Safe_div k ->
+      let op = if k mod 2 = 0 then Opcode.Arith_op.Div else Opcode.Arith_op.Rem in
+      [
+        Op (Instr.Arith (x_slot, x_slot, Opcode.Arith_op.Inc));
+        Op (Instr.Arith (x_slot, d_slot, op));
+        Op (Instr.Arith (y_slot, x_slot, Opcode.Arith_op.Add));
+      ]
+
+(* every handler ends with the harness tail: grab a free slot (evicting
+   FIFO from the active queue if none) and return it *)
+let tail_items =
+  let open Program.Asm in
+  [
+    Op (Instr.Emptyq Std.free_queue);
+    Jump_to "tail_take";
+    Op (Instr.Fifo Std.active_queue);
+    Jump_to "tail_take";
+    Label "tail_take";
+    Op (Instr.Dequeue (Std.page_reg, Std.free_queue, Opcode.Queue_end.Head));
+    Op (Instr.Return Std.page_reg);
+  ]
+
+let build_program desc =
+  let body = List.concat (List.mapi items_of_tpl desc.tpls) in
+  let page_fault =
+    match Program.Asm.assemble (body @ tail_items) with
+    | Ok code -> code
+    | Error e -> failwith ("generated program failed to assemble: " ^ e)
+  in
+  Program.make
+    [
+      (Events.page_fault, page_fault);
+      (Events.reclaim_frame, [| Instr.Return Std.null |]);
+      ( helper_event,
+        [| Instr.Arith (y_slot, y_slot, Opcode.Arith_op.Inc); Instr.Return Std.null |] );
+    ]
+
+(* fresh mutable operands per run *)
+let spec_of desc policy =
+  {
+    (Api.default_spec ~policy ~min_frames:desc.frames) with
+    Api.extra_operands =
+      [
+        (x_slot, Operand.Int (ref desc.x0));
+        (y_slot, Operand.Int (ref desc.y0));
+        (b1_slot, Operand.Bool (ref desc.b0));
+        (b2_slot, Operand.Bool (ref (not desc.b0)));
+        (r_slot, Operand.Int (ref desc.r0));
+        (uq_slot, Operand.Queue (Page_queue.create "user-q"));
+        (up_slot, Operand.Page (ref None));
+        (d_slot, Operand.Int (ref desc.d0));
+      ];
+  }
+
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  n = 0 || go 0
+
+let print_desc d =
+  Printf.sprintf "frames=%d npages=%d x0=%d y0=%d r0=%d d0=%d b0=%b accesses=%d [%s]"
+    d.frames d.npages d.x0 d.y0 d.r0 d.d0 d.b0 (Array.length d.accesses)
+    (String.concat "; " (List.map tpl_name d.tpls))
+
+let desc_gen st =
+  let open QCheck.Gen in
+  let frames = 4 + int_bound 6 st in
+  let npages = frames + 1 + int_bound 20 st in
+  let tpl _ =
+    match int_bound 11 st with
+    | 0 -> Arith (int_bound 100 st)
+    | 1 -> Branch (int_bound 100 st)
+    | 2 -> Logic (int_bound 100 st)
+    | 3 -> Emptyq_branch (int_bound 3 st)
+    | 4 -> Request (int_bound 100 st)
+    | 5 -> Release_count
+    | 6 -> Complex (int_bound 100 st, int_bound 3 st)
+    | 7 -> Shuffle (int_bound 3 st, int_bound 3 st, int_bound 1 st)
+    | 8 -> Release_on_queue (int_bound 3 st, int_bound 3 st)
+    | 9 -> Find_mark (int_bound 1 st, int_bound 1 st)
+    | 10 -> Safe_div (int_bound 100 st)
+    | _ -> Activate_helper
+  in
+  let count = 30 + int_bound 120 st in
+  {
+    x0 = int_bound 20 st - 10;
+    y0 = int_bound 8 st;
+    r0 = int_bound 2 st;
+    d0 = 1 + int_bound 8 st;
+    b0 = bool st;
+    frames;
+    npages;
+    tpls = List.init (1 + int_bound 5 st) tpl;
+    accesses = Array.init count (fun _ -> (int_bound (npages - 1) st, bool st));
+  }
+
+(* Install a random program and drive its accesses under a storing
+   trace collector, so the traced-only paths run too; [Some reason] when
+   the container was demoted.  Any exception escapes to qcheck. *)
+let run_case desc =
+  ignore (Hipec_trace.Trace.start ~store:true ());
+  Fun.protect ~finally:(fun () -> ignore (Hipec_trace.Trace.stop ())) @@ fun () ->
+  let config =
+    { Kernel.default_config with Kernel.total_frames = max 256 (4 * desc.frames); hipec_kernel = true }
+  in
+  let k = Kernel.create ~config () in
+  let sys = Api.init ~start_checker:false k in
+  let task = Kernel.create_task k () in
+  Result.map
+    (fun (region, container) ->
+      Array.iter
+        (fun (page, write) ->
+          Kernel.access_vpn k task ~vpn:(region.Vm_map.start_vpn + page) ~write)
+        desc.accesses;
+      Kernel.drain_io k;
+      Container.degraded_reason container)
+    (Api.vm_allocate_hipec sys task ~npages:desc.npages (spec_of desc (build_program desc)))
+
+(* Random programs are free to fail at run time (DeQueue from an emptied
+   queue, Release of a still-bound page, division by zero) and be
+   demoted, but the executor reports a kernel [Invalid_argument] as
+   "kernel check failed", and a checker-accepted program must never
+   trip one, nor let one escape. *)
+let no_kernel_failure_prop =
+  QCheck.Test.make ~name:"checker-accepted programs never trip a kernel check" ~count:120
+    (QCheck.make ~print:print_desc desc_gen)
+    (fun desc ->
+      match run_case desc with
+      | Ok (Some reason) when contains ~sub:"kernel check failed" reason ->
+          QCheck.Test.fail_reportf "checker-accepted program tripped a kernel check: %s"
+            reason
+      | Ok _ | Error _ -> true)
+
 let suites =
   [
     ( "arith",
@@ -626,20 +911,11 @@ let suites =
       ] );
   ]
 
-let with_backend backend f () =
-  let saved = Executor.default_backend () in
-  Executor.set_default_backend backend;
-  Fun.protect ~finally:(fun () -> Executor.set_default_backend saved) f
-
 let () =
   Alcotest.run "executor"
-    (List.concat_map
-       (fun backend ->
-         List.map
-           (fun (group, cases) ->
-             ( Printf.sprintf "%s(%s)" group (Executor.backend_name backend),
-               List.map
-                 (fun (name, f) -> Alcotest.test_case name `Quick (with_backend backend f))
-                 cases ))
-           suites)
-       [ Executor.Interp; Executor.Compiled ])
+    (List.map
+       (fun (group, cases) ->
+         ( group ^ "(interp)",
+           List.map (fun (name, f) -> Alcotest.test_case name `Quick f) cases ))
+       suites
+    @ [ ("random programs", [ QCheck_alcotest.to_alcotest no_kernel_failure_prop ]) ])

@@ -10,13 +10,12 @@
 
    Lines named "trace:NAME" pin checked-in recordings (golden/NAME.trace)
    instead of regenerable scenarios — the adversary's anomaly witnesses.
-   Each must load with the pinned digest and replay digest-identically on
-   both executor backends, and a lo/hi pair of the same witness must
+   Each must load with the pinned digest and replay digest-identically,
+   and a lo/hi pair of the same witness must
    still fault more at the larger grant. *)
 
 open Hipec_trace
 open Hipec_workloads
-open Hipec_core
 
 (* found whether we run under `dune runtest` (cwd = test/) or by hand
    from the repository root *)
@@ -57,11 +56,6 @@ let load_trace name =
   | Ok r -> r
   | Error e -> Alcotest.failf "%s: %s" (trace_path name) e
 
-let with_backend b f =
-  let saved = Executor.default_backend () in
-  Executor.set_default_backend b;
-  Fun.protect ~finally:(fun () -> Executor.set_default_backend saved) f
-
 let check_trace (name, digest, events) () =
   let r = load_trace name in
   Alcotest.(check string)
@@ -70,17 +64,12 @@ let check_trace (name, digest, events) () =
     (Trace.digest_hex r.Trace.Recorded.digest);
   Alcotest.(check int) (name ^ ": event count") events
     (Array.length r.Trace.Recorded.events);
-  List.iter
-    (fun backend ->
-      with_backend backend (fun () ->
-          match Trace_run.replay r with
-          | Error e -> Alcotest.failf "%s [%s]: %s" name (Executor.backend_name backend) e
-          | Ok o ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: replay reproduces the recording on %s" name
-                   (Executor.backend_name backend))
-                true (Trace_run.matches o)))
-    [ Executor.Interp; Executor.Compiled ]
+  match Trace_run.replay r with
+  | Error e -> Alcotest.failf "%s: %s" name e
+  | Ok o ->
+      Alcotest.(check bool)
+        (name ^ ": replay reproduces the recording")
+        true (Trace_run.matches o)
 
 (* lo/hi recordings of one witness, paired by their "-lo"/"-hi" suffix:
    the larger grant must still fault strictly more *)

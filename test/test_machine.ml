@@ -140,7 +140,23 @@ let test_disk_fifo_order () =
   Disk.submit_write disk ~block:5_000 ~nblocks:1 (fun _ _ -> order := 3 :: !order);
   Engine.run engine;
   Alcotest.(check (list int)) "completion order" [ 1; 2; 3 ] (List.rev !order);
-  Alcotest.(check int) "queue drained" 0 (Disk.queue_depth disk)
+  Alcotest.(check int) "queue drained" 0 (Disk.queue_depth disk);
+  (* at scale: scattered requests still complete in submission order,
+     and the depth counts the waiting requests plus the one in service *)
+  let n = 2_000 in
+  let completed = ref 0 in
+  for i = 0 to n - 1 do
+    let block = i * 7_919 mod (Disk.capacity_blocks disk - 1) in
+    let submit = if i mod 3 = 0 then Disk.submit_write else Disk.submit_read in
+    submit disk ~block ~nblocks:1 (fun _ _ ->
+        Alcotest.(check int) "completes in submission order" i !completed;
+        Alcotest.(check int) "depth while in flight" (n - i) (Disk.queue_depth disk);
+        incr completed)
+  done;
+  Alcotest.(check int) "all queued" n (Disk.queue_depth disk);
+  Engine.run engine;
+  Alcotest.(check int) "all completed" n !completed;
+  Alcotest.(check int) "queue drained again" 0 (Disk.queue_depth disk)
 
 let test_disk_mean_page_read_latency () =
   (* Calibration guard: a scattered 4 KB read must average ~7.65 ms so

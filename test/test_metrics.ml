@@ -1,9 +1,9 @@
 (* Tests for lib/metrics: registry determinism, histogram percentiles
    against a sorted-array oracle, the zero-cost-when-disabled contract,
-   interp-vs-compiled per-opcode attribution, and the top-bucket
-   boundary regressions (values at the upper edge must overflow). *)
+   per-opcode attribution checked against the trace stream, the kernel's
+   per-fault emits, and the top-bucket boundary regressions (values at
+   the upper edge must overflow). *)
 
-open Hipec_core
 open Hipec_workloads
 module Mx = Hipec_metrics.Metrics
 module St = Hipec_sim.Stats
@@ -68,7 +68,7 @@ let test_zero_cost_when_disabled () =
       Mx.gauge_set "zc.gauge" i;
       Mx.observe "zc.hist" i;
       Mx.sample "zc.series" i;
-      assert (Mx.profile_begin ~backend:"interp" ~container:0 ~sim_ns:i = None)
+      assert (Mx.profile_begin ~container:0 ~sim_ns:i = None)
     done
   in
   let baseline = minor_words_of (fun () -> for _ = 1 to 10_000 do () done) in
@@ -187,24 +187,18 @@ let run_scenario_under_registry name =
 
 let test_snapshot_deterministic () =
   let snap () =
-    Mx.Registry.to_json ~wall:false (run_scenario_under_registry "policy")
+    Mx.Registry.to_json (run_scenario_under_registry "policy")
   in
   let a = snap () and b = snap () in
-  Alcotest.(check string) "identical seeded runs serialize identically" a b;
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "wall fields segregated" false (contains a "wall_ns")
+  Alcotest.(check string) "identical seeded runs serialize identically" a b
 
 (* ------------------------------------------------------------------ *)
-(* Profiler: attribution and backend agreement                         *)
+(* Profiler: attribution and agreement with the trace stream         *)
 (* ------------------------------------------------------------------ *)
 
 let test_profiler_attribution () =
   let reg = Mx.install () in
-  let run = Option.get (Mx.profile_begin ~backend:"test" ~container:1 ~sim_ns:100) in
+  let run = Option.get (Mx.profile_begin ~container:1 ~sim_ns:100) in
   Mx.profile_step run ~opcode:3 ~sim_ns:150;
   (* 50 ns of dispatch before the first fetch -> overhead *)
   Mx.profile_step run ~opcode:5 ~sim_ns:175;
@@ -212,7 +206,7 @@ let test_profiler_attribution () =
   Mx.profile_end run ~sim_ns:200;
   (* and the tail to opcode 5 *)
   ignore (Mx.uninstall ());
-  let p = Mx.Registry.profile reg ~backend:"test" ~container:1 in
+  let p = Mx.Registry.profile reg ~container:1 in
   let cells = Mx.Profile.cells p in
   Alcotest.(check int) "overhead sim" 50 (Mx.Profile.overhead p).Mx.Profile.sim_ns;
   Alcotest.(check int) "op3 count" 1 cells.(3).Mx.Profile.count;
@@ -222,48 +216,75 @@ let test_profiler_attribution () =
   Alcotest.(check int) "sim total telescopes" 100 (Mx.Profile.sim_total p);
   Alcotest.(check int) "runs" 1 (Mx.Profile.runs p)
 
-let with_backend b f =
-  let saved = Executor.default_backend () in
-  Executor.set_default_backend b;
-  Fun.protect ~finally:(fun () -> Executor.set_default_backend saved) f
-
-(* Run [name] under both executors into one registry; their per-opcode
-   simulated attributions must agree cell for cell (the boundary timers
-   sit at identical simulated instants in both prologues). *)
-let check_backends_agree name () =
+(* Run [name] with the registry and a trace collector installed: the
+   profiler and the trace stream count the same executor runs
+   independently, so the per-opcode counts must sum to the commands the
+   Policy_run events report, and [runs] must equal their number. *)
+let check_profile_matches_trace name () =
   let scenario =
     match Trace_run.scenario_of_name name with
     | Some s -> s
     | None -> Alcotest.failf "unknown scenario %s" name
   in
   let reg = Mx.install () in
+  let c = Hipec_trace.Trace.start ~store:true () in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Hipec_trace.Trace.stop ());
+      ignore (Mx.uninstall ()))
+    (fun () ->
+      match Trace_run.run_scenario scenario with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: %s" name e);
+  let policy_runs, traced_commands =
+    Array.fold_left
+      (fun (n, cmds) ev ->
+        match ev.Hipec_trace.Event.payload with
+        | Hipec_trace.Event.Policy_run { commands; _ } -> (n + 1, cmds + commands)
+        | _ -> (n, cmds))
+      (0, 0) (Hipec_trace.Trace.events c)
+  in
+  match Mx.Registry.profile_totals reg with
+  | None -> Alcotest.fail "no executor profile"
+  | Some (cells, _, runs) ->
+      let profiled =
+        Array.fold_left (fun acc (c : Mx.Profile.cell) -> acc + c.Mx.Profile.count) 0 cells
+      in
+      Alcotest.(check bool) "commands were profiled" true (profiled > 0);
+      Alcotest.(check int) "runs = Policy_run events" policy_runs runs;
+      Alcotest.(check int) "opcode counts = Policy_run commands" traced_commands profiled
+
+(* ------------------------------------------------------------------ *)
+(* Kernel fault emits                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A copy-on-write fault reports like every other fault kind: latency
+   histograms, the fault count and the free-frame gauge and series.  The
+   registry goes in after set-up, so the one source write after vm_copy
+   is the only fault it sees. *)
+let test_cow_fault_emits () =
+  let module Kernel = Hipec_vm.Kernel in
+  let config = { Kernel.default_config with Kernel.total_frames = 128 } in
+  let k = Kernel.create ~config () in
+  let task = Kernel.create_task k () in
+  let src = Kernel.vm_allocate k task ~npages:4 in
+  Kernel.touch_region k task src ~write:true;
+  ignore (Kernel.vm_copy k task src);
+  let reg = Mx.install () in
   Fun.protect
     ~finally:(fun () -> ignore (Mx.uninstall ()))
-    (fun () ->
-      List.iter
-        (fun b ->
-          with_backend b (fun () ->
-              match Trace_run.run_scenario scenario with
-              | Ok () -> ()
-              | Error e -> Alcotest.failf "%s: %s" name e))
-        [ Executor.Interp; Executor.Compiled ]);
-  match
-    ( Mx.Registry.profile_totals reg ~backend:"interp",
-      Mx.Registry.profile_totals reg ~backend:"compiled" )
-  with
-  | Some (ci, oi, ri), Some (cc, oc, rc) ->
-      Alcotest.(check int) "runs" ri rc;
-      Alcotest.(check int) "overhead sim" oi.Mx.Profile.sim_ns oc.Mx.Profile.sim_ns;
-      Array.iteri
-        (fun i (c : Mx.Profile.cell) ->
-          Alcotest.(check int) (Printf.sprintf "op %d count" i) c.Mx.Profile.count
-            cc.(i).Mx.Profile.count;
-          Alcotest.(check int) (Printf.sprintf "op %d sim_ns" i) c.Mx.Profile.sim_ns
-            cc.(i).Mx.Profile.sim_ns)
-        ci;
-      Alcotest.(check bool) "commands were profiled" true
-        (Array.exists (fun (c : Mx.Profile.cell) -> c.Mx.Profile.count > 0) ci)
-  | _ -> Alcotest.fail "a backend left no profile"
+    (fun () -> Kernel.access_vpn k task ~vpn:src.Hipec_vm.Vm_map.start_vpn ~write:true);
+  Alcotest.(check (option int)) "one fault" (Some 1)
+    (Mx.Registry.counter_value reg "vm.fault.count");
+  Alcotest.(check (option int)) "it was the cow fault" (Some 1)
+    (Option.map St.Histogram.count (Mx.Registry.histogram reg "vm.fault.cow.ns"));
+  let free = Hipec_machine.Frame.Table.free_count (Kernel.frame_table k) in
+  Alcotest.(check (option int)) "free-frame gauge" (Some free)
+    (Mx.Registry.gauge_value reg "vm.free_frames");
+  Alcotest.(check (option int)) "free-frame series sampled" (Some 1)
+    (Option.map
+       (fun s -> Array.length (Mx.Series.points s))
+       (Mx.Registry.series reg "vm.free_frames.ts"))
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus exposition lint                                          *)
@@ -405,8 +426,8 @@ let lint_prom exposition =
 
 let test_prom_exposition () =
   (* a registry exercising every metric kind, plus label values that
-     need escaping (a backend name and opcode names with quotes,
-     backslashes and newlines) *)
+     need escaping (opcode names with quotes, backslashes and
+     newlines) *)
   let reg = Mx.install ~tick_ns:100 () in
   Fun.protect
     ~finally:(fun () -> ignore (Mx.uninstall ()))
@@ -417,12 +438,12 @@ let test_prom_exposition () =
       Mx.observe "lint.lat" 3_000;
       Mx.Registry.sample reg "lint.series" ~now_ns:0 1;
       let run =
-        Option.get (Mx.profile_begin ~backend:"we\"ird\\back\nend" ~container:0 ~sim_ns:0)
+        Option.get (Mx.profile_begin ~container:0 ~sim_ns:0)
       in
       Mx.profile_step run ~opcode:3 ~sim_ns:10;
       Mx.profile_end run ~sim_ns:20);
   let text =
-    Mx.Registry.to_prom ~opcode_name:(fun i -> Printf.sprintf "op\"%d\"\\n" i) reg
+    Mx.Registry.to_prom ~opcode_name:(fun i -> Printf.sprintf "op\"%d\"\\x\n" i) reg
   in
   (match lint_prom text with
   | [] -> ()
@@ -432,8 +453,8 @@ let test_prom_exposition () =
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
     go 0
   in
-  Alcotest.(check bool) "backend label escaped" true
-    (contains text "backend=\"we\\\"ird\\\\back\\nend\"");
+  Alcotest.(check bool) "op label escaped" true
+    (contains text "op=\"op\\\"3\\\"\\\\x\\n\"");
   Alcotest.(check bool) "HELP emitted" true (contains text "# HELP hipec_lint_counter ")
 
 (* and the real thing: the policy scenario's exposition must lint *)
@@ -473,12 +494,13 @@ let () =
           Alcotest.test_case "format lints with escaping" `Quick test_prom_exposition;
           Alcotest.test_case "policy scenario lints" `Quick test_prom_scenario_lints;
         ] );
+      ( "kernel", [ Alcotest.test_case "cow fault emits" `Quick test_cow_fault_emits ] );
       ( "profiler",
         [
           Alcotest.test_case "boundary-timer attribution" `Quick test_profiler_attribution;
-          Alcotest.test_case "backends agree on policy scenario" `Quick
-            (check_backends_agree "policy");
-          Alcotest.test_case "backends agree on join-small" `Quick
-            (check_backends_agree "join-small");
+          Alcotest.test_case "counts match the trace on policy scenario" `Quick
+            (check_profile_matches_trace "policy");
+          Alcotest.test_case "counts match the trace on join-small" `Quick
+            (check_profile_matches_trace "join-small");
         ] );
     ]

@@ -1,12 +1,11 @@
 (* Span reconstruction: the tiling invariant (segments sum exactly to
    each fault's recorded latency), online/offline equivalence (spans
    built live through [Trace.set_consumer] digest-identically to spans
-   rebuilt from the recorded stream), cross-backend digest identity on
-   every golden scenario, and the zero-cost-when-disabled guard. *)
+   rebuilt from the recorded stream), and the zero-cost-when-disabled
+   guard. *)
 
 open Hipec_trace
 open Hipec_workloads
-open Hipec_core
 
 let small_cfg =
   { Trace_run.default_policy_cfg with Trace_run.npages = 64; frames = 16; count = 800 }
@@ -26,11 +25,6 @@ let record_online sc =
   match result with
   | Error e -> Alcotest.fail e
   | Ok () -> (b, Trace.Recorded.of_collector c ~meta:[])
-
-let with_backend b f =
-  let saved = Executor.default_backend () in
-  Executor.set_default_backend b;
-  Fun.protect ~finally:(fun () -> Executor.set_default_backend saved) f
 
 let fault_events (r : Trace.Recorded.t) =
   Array.fold_left
@@ -163,24 +157,6 @@ let prop_online_offline =
       Int64.equal (Span.digest online) (Span.digest offline)
       && Span.fault_count online = Span.fault_count offline)
 
-(* --- cross-backend digest identity ---------------------------------- *)
-
-let span_digest_on backend sc =
-  with_backend backend (fun () ->
-      let r = record_ok sc in
-      Span.digest (Span.of_events r.Trace.Recorded.events))
-
-let test_backends name () =
-  let sc =
-    match Trace_run.scenario_of_name name with
-    | Some sc -> sc
-    | None -> Alcotest.fail ("unknown scenario " ^ name)
-  in
-  Alcotest.(check string)
-    (name ^ ": Interp and Compiled span digests agree")
-    (Trace.digest_hex (span_digest_on Executor.Interp sc))
-    (Trace.digest_hex (span_digest_on Executor.Compiled sc))
-
 (* --- exporters stay well-formed ------------------------------------- *)
 
 let test_exporters () =
@@ -237,10 +213,6 @@ let () =
           (fun name -> Alcotest.test_case name `Quick (test_online_offline name))
           scenario_names
         @ [ QCheck_alcotest.to_alcotest prop_online_offline ] );
-      ( "backends",
-        List.map
-          (fun name -> Alcotest.test_case name `Quick (test_backends name))
-          scenario_names );
       ( "exporters", [ Alcotest.test_case "perfetto and json" `Quick test_exporters ] );
       ( "disabled", [ Alcotest.test_case "allocation-free" `Quick test_disabled_alloc ] );
     ]
