@@ -1,4 +1,4 @@
-.PHONY: all test bench examples clean quick-bench chaos oracle golden fig6 metrics-bench storm storm-bench adversary adversary-bench spans spans-bench lint ci
+.PHONY: all test bench examples clean quick-bench chaos oracle golden fig6 metrics-bench storm storm-bench adversary adversary-bench spans spans-bench lint perfbench-smoke ci
 
 all:
 	dune build @all
@@ -73,12 +73,23 @@ lint:
 	  dune exec bin/hipec_cli.exe -- lint $$f || exit 1; \
 	done
 
+# a few seconds of each benchmark workload through the benchmark's own
+# runner; fails unless every run reports correct with no failed
+# operations
+perfbench-smoke:
+	for w in join-mru paging-mix tenant-storm; do \
+	  last=$$(python3 perfbench/run.py --workload "$$w" --seconds 3 --trace 0 | tail -n 1); \
+	  echo "$$w: $$last"; \
+	  echo "$$last" | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' || exit 1; \
+	done
+
 # What CI runs: full build, the whole test suite (which includes the
 # oracle, golden, storm, span and adversary suites), the policy lint
 # gate, the Figure 6 fault-count gate, the chaos and storm acceptance
 # checks at smoke scale, the adversary regression gate, the span
-# attribution runs, and the metrics, storm, adversary and spans benches.
-ci: all test lint oracle golden fig6 chaos storm adversary spans metrics-bench storm-bench adversary-bench spans-bench
+# attribution runs, the metrics, storm, adversary and spans benches,
+# and the benchmark smoke.
+ci: all test lint oracle golden fig6 chaos storm adversary spans metrics-bench storm-bench adversary-bench spans-bench perfbench-smoke
 
 bench:
 	dune exec bench/main.exe

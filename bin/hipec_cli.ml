@@ -66,13 +66,6 @@ let check_cmd =
         match Checker.validate out.Hipec_pseudoc.Codegen.program ops with
         | Ok () ->
             print_endline "policy accepted by the security checker";
-            (match Checker.Lint.run out.Hipec_pseudoc.Codegen.program with
-            | [] -> ()
-            | warnings ->
-                List.iter
-                  (fun w ->
-                    Format.printf "warning: %a@." Checker.Lint.pp_warning w)
-                  warnings);
             0
         | Error e ->
             Printf.eprintf "security checker rejected: %s\n" e;

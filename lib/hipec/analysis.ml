@@ -227,7 +227,7 @@ module Interval = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Structural CFG helpers (shared with Checker.Lint)                   *)
+(* Structural CFG helpers (shared with the pseudoc compiler)          *)
 (* ------------------------------------------------------------------ *)
 
 let successors code cc =
@@ -252,7 +252,7 @@ let reachable code =
 
 (* Multi-command cycles consisting solely of unconditional Jumps: once
    entered, control can never leave — no test, no Return.  Single-node
-   self-jumps are reported separately (the legacy lint rule). *)
+   self-jumps are reported separately (the self-loop rule). *)
 let jump_only_cycles code =
   let len = Array.length code in
   let cycles = ref [] in
@@ -914,7 +914,6 @@ type event_info = {
   states : state option array;
   feasible : int list array;  (* successor lists under the fixpoint states *)
   site_list : (int * site list) list;
-  verdicts : [ `Always_true | `Always_false | `Unknown ] array;
 }
 
 type t = {
@@ -1003,7 +1002,6 @@ let analyze ?ops program =
         let len = Array.length code in
         let feasible = Array.make len [] in
         let site_list = ref [] in
-        let verdicts = Array.make len `Unknown in
         Array.iteri
           (fun cc st ->
             match st with
@@ -1011,14 +1009,9 @@ let analyze ?ops program =
             | Some s ->
                 let { edges; sites } = transfer ctx code cc s in
                 feasible.(cc) <- List.sort_uniq compare (List.map fst edges);
-                if sites <> [] then site_list := (cc, sites) :: !site_list;
-                (match code.(cc) with
-                | Instr.Comp (a, b, op) ->
-                    verdicts.(cc) <-
-                      Interval.comp op (read_ivl ctx s a) (read_ivl ctx s b)
-                | _ -> ()))
+                if sites <> [] then site_list := (cc, sites) :: !site_list)
           states;
-        (ev, { ev; code; states; feasible; site_list = List.rev !site_list; verdicts }))
+        (ev, { ev; code; states; feasible; site_list = List.rev !site_list }))
       events
   in
   (* fuel, composed across activations (memoized; cycles = unbounded) *)
@@ -1146,7 +1139,7 @@ let analyze ?ops program =
   List.iter
     (fun (ev, info) ->
       let code = info.code in
-      (* structural rules (legacy lint, now framework-hosted) *)
+      (* structural rules *)
       Array.iteri
         (fun cc instr ->
           match instr with
@@ -1275,41 +1268,20 @@ let fuel t ~event = List.assoc_opt event t.fuels
 let fuel_table t = t.fuels
 let possible_traps t = t.traps
 
-let site_at t ~event ~cc =
-  match List.assoc_opt event t.infos with
-  | None -> []
-  | Some info -> Option.value (List.assoc_opt cc info.site_list) ~default:[]
-
-let div_interval t ~event ~cc =
-  List.find_map
-    (function Sdiv { divisor; _ } -> Some divisor | _ -> None)
-    (site_at t ~event ~cc)
-
 let safe_div t ~event ~cc =
-  match div_interval t ~event ~cc with
-  | Some ivl -> not (Interval.contains ivl 0)
-  | None -> false
-
-let comp_verdict t ~event ~cc =
   match List.assoc_opt event t.infos with
-  | None -> `Unknown
+  | None -> false
   | Some info ->
-      if cc >= 0 && cc < Array.length info.verdicts then info.verdicts.(cc) else `Unknown
-
-let reachable_cc t ~event ~cc =
-  match List.assoc_opt event t.infos with
-  | None -> false
-  | Some info -> cc >= 0 && cc < Array.length info.states && info.states.(cc) <> None
+      List.exists
+        (function Sdiv { divisor; _ } -> not (Interval.contains divisor 0) | _ -> false)
+        (Option.value (List.assoc_opt cc info.site_list) ~default:[])
 
 (* ------------------------------------------------------------------ *)
 (* Code-level entry point (the pseudoc optimizer's view)               *)
 (* ------------------------------------------------------------------ *)
 
 module Code = struct
-  type info = {
-    c_states : state option array;
-    c_verdicts : [ `Always_true | `Always_false | `Unknown ] array;
-  }
+  type info = [ `Always_true | `Always_false | `Unknown ] array
 
   let analyze code =
     let known_int = Array.make Operand.size false in
@@ -1337,12 +1309,8 @@ module Code = struct
             verdicts.(cc) <- Interval.comp op (read_ivl ctx s a) (read_ivl ctx s b)
         | _ -> ())
       states;
-    { c_states = states; c_verdicts = verdicts }
+    verdicts
 
   let comp_verdict info cc =
-    if cc >= 0 && cc < Array.length info.c_verdicts then info.c_verdicts.(cc)
-    else `Unknown
-
-  let reachable_cc info cc =
-    cc >= 0 && cc < Array.length info.c_states && info.c_states.(cc) <> None
+    if cc >= 0 && cc < Array.length info then info.(cc) else `Unknown
 end

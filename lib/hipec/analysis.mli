@@ -20,7 +20,7 @@
     writes (available when [analyze] is given the operand array) seed
     the entry environment.  The executor keeps its defensive runtime
     checks regardless, so its correctness never depends on these facts —
-    they only feed lint, the fuel verdict and earlier diagnostics. *)
+    they only feed [hipec lint] and the pseudo-code optimizer. *)
 
 (** Integer intervals with infinite bounds. *)
 module Interval : sig
@@ -53,7 +53,8 @@ end
 
 (** {1 Structural CFG helpers}
 
-    Shared with [Checker.Lint]; purely syntactic, no fixpoint. *)
+    Shared with the pseudo-code compiler and optimizer; purely
+    syntactic, no fixpoint. *)
 
 val successors : Instr.t array -> int -> int list
 (** CFG successors of one command under skip-next semantics (tests
@@ -66,7 +67,7 @@ val jump_only_cycles : Instr.t array -> int list list
 (** Cycles of two or more commands consisting solely of unconditional
     [Jump]s: guaranteed non-termination once entered.  Each cycle is
     returned as a sorted list of its command counters.  Single-command
-    self-jumps are not included (they have their own legacy rule). *)
+    self-jumps are not included (the [self-loop] rule reports them). *)
 
 (** {1 Findings} *)
 
@@ -107,8 +108,9 @@ val trap_name : trap -> string
 type t
 
 val analyze : ?ops:Operand.t -> Program.t -> t
-(** Fixpoint analysis of every event.  With [?ops] (the container's
-    operand array as built at install time), operand kinds drive the
+(** Fixpoint analysis of every event.  With [?ops] (an operand array
+    as an install would build it; [hipec lint] builds a standard one
+    holding the policy's declared variables), operand kinds drive the
     domains and install-time constants seed the entry state; without
     it, only operands that appear as [Arith] targets are tracked and
     entry states are all-Top — strictly fewer facts, never unsound. *)
@@ -128,13 +130,6 @@ val safe_div : t -> event:int -> cc:int -> bool
 (** The command at [cc] is a Div/Rem whose divisor interval excludes
     zero, so it cannot trap. *)
 
-val div_interval : t -> event:int -> cc:int -> Interval.t option
-(** The divisor interval at a Div/Rem site, if [cc] is one. *)
-
-val comp_verdict : t -> event:int -> cc:int -> [ `Always_true | `Always_false | `Unknown ]
-val reachable_cc : t -> event:int -> cc:int -> bool
-(** Semantically reachable: some abstract state flows there. *)
-
 (** {1 Code-level analysis}
 
     The pseudoc optimizer's view: analyze one bare code array with no
@@ -147,5 +142,4 @@ module Code : sig
 
   val analyze : Instr.t array -> info
   val comp_verdict : info -> int -> [ `Always_true | `Always_false | `Unknown ]
-  val reachable_cc : info -> int -> bool
 end

@@ -7,7 +7,6 @@ type t = {
   manager : Frame_manager.t;
   checker : Checker.t;
   buffers : (int, Vm_map.region) Hashtbl.t;  (* container id -> command buffer *)
-  analyses : (int, Analysis.t) Hashtbl.t;  (* container id -> install-time analysis *)
 }
 
 let init ?burst_fraction ?max_steps ?checker_timeout ?checker_wakeup
@@ -18,7 +17,7 @@ let init ?burst_fraction ?max_steps ?checker_timeout ?checker_wakeup
       ()
   in
   if start_checker then Checker.start checker;
-  { kernel; manager; checker; buffers = Hashtbl.create 16; analyses = Hashtbl.create 16 }
+  { kernel; manager; checker; buffers = Hashtbl.create 16 }
 
 let kernel t = t.kernel
 let manager t = t.manager
@@ -146,8 +145,7 @@ let install_hook t container =
   let on_task_terminated ~task =
     if Task.id task = Task.id (Container.task container) then begin
       Frame_manager.remove_container manager container ~flush_dirty:false;
-      Hashtbl.remove t.buffers (Container.id container);
-      Hashtbl.remove t.analyses (Container.id container)
+      Hashtbl.remove t.buffers (Container.id container)
     end
   in
   Kernel.set_manager t.kernel (Container.obj container)
@@ -174,11 +172,6 @@ let hipec_region_of_spec t task region spec =
           | Ok () ->
               install_command_buffer t task container;
               install_hook t container;
-              (* install-time abstract interpretation: static fuel
-                 bounds for the per-tenant throttle and trap-class
-                 proofs *)
-              Hashtbl.replace t.analyses (Container.id container)
-                (Analysis.analyze ~ops:operands spec.policy);
               Ok (region, container)))
 
 let vm_allocate_hipec t task ~npages spec =
@@ -207,7 +200,6 @@ let migrate_frames t ~src ~dst ~n =
 
 let vm_deallocate_hipec t task container =
   Kernel.null_syscall t.kernel;
-  Hashtbl.remove t.analyses (Container.id container);
   Frame_manager.remove_container t.manager container ~flush_dirty:true;
   (match command_buffer_region t container with
   | Some buffer ->
@@ -218,57 +210,3 @@ let vm_deallocate_hipec t task container =
   let region = Container.region container in
   if List.memq region (Vm_map.regions (Task.vm_map task)) then
     Kernel.vm_deallocate t.kernel task region
-
-(* ------------------------------------------------------------------ *)
-(* Install-time analysis results                                       *)
-(* ------------------------------------------------------------------ *)
-
-let analysis t container = Hashtbl.find_opt t.analyses (Container.id container)
-
-let static_fuel t container ~event =
-  Option.bind (analysis t container) (fun a -> Analysis.fuel a ~event)
-
-let unbounded_events t container =
-  match analysis t container with
-  | None -> []
-  | Some a ->
-      List.filter_map
-        (fun (event, f) ->
-          match f with Analysis.Unbounded reason -> Some (event, reason) | _ -> None)
-        (Analysis.fuel_table a)
-
-(* Compare every event's proven worst case against the per-tenant fuel
-   quota (PR 6's throttle budget, measured in commands per window).
-   [`Within n] = the costliest provably-bounded entry needs [n]
-   commands, inside quota; [`Exceeds (ev, n)] = one entry of [ev] could
-   alone overrun the whole window's budget; [`Unproven evs] = no bound
-   exists for [evs], so the runtime ledger is the only line of defense
-   (exactly the events worth tagging for tighter throttling). *)
-let fuel_verdict t container =
-  match analysis t container with
-  | None -> `Unproven []
-  | Some a ->
-      let quota = Frame_manager.fuel_quota t.manager in
-      let table = Analysis.fuel_table a in
-      let unproven =
-        List.filter_map
-          (fun (ev, f) ->
-            match f with Analysis.Bounded _ -> None | _ -> Some ev)
-          table
-      in
-      if unproven <> [] then `Unproven unproven
-      else
-        let worst =
-          List.fold_left
-            (fun acc (ev, f) ->
-              match f with
-              | Analysis.Bounded n -> (
-                  match acc with
-                  | Some (_, m) when m >= n -> acc
-                  | _ -> Some (ev, n))
-              | _ -> acc)
-            None table
-        in
-        match worst with
-        | None -> `Within 0
-        | Some (ev, n) -> if quota > 0 && n > quota then `Exceeds (ev, n) else `Within n

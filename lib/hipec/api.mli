@@ -5,7 +5,10 @@
     buffer read-only into the caller's address space, build the operand
     array, run the security checker's static validation, create the
     container, obtain the private frame list from the global frame
-    manager, and hook the object's faults to the policy executor. *)
+    manager, and hook the object's faults to the policy executor.  The
+    security checker is the only static check on this path; the
+    abstract interpreter ({!Analysis}) is an on-demand tool that
+    [hipec lint] runs. *)
 
 open Hipec_sim
 open Hipec_vm
@@ -91,32 +94,3 @@ val demotion_reason : t -> Container.t -> string option
     is still in control.  Mirrors {!Container.degraded_reason}; exposed
     here so applications can poll their region's fate after a fallback
     (paper's kernel would post a notification port message). *)
-
-(** {1 Install-time analysis}
-
-    {!Analysis.analyze} runs once per accepted install (after the
-    security checker, before the first fault) and the results are kept
-    for the container's lifetime. *)
-
-val analysis : t -> Container.t -> Analysis.t option
-(** The abstract-interpretation results for this container's program,
-    computed against its actual operand array.  [None] after teardown
-    or for containers not installed through this [t]. *)
-
-val static_fuel : t -> Container.t -> event:int -> Analysis.fuel option
-(** Proven worst-case commands per entry of [event] (see
-    {!Analysis.fuel}). *)
-
-val unbounded_events : t -> Container.t -> (int * string) list
-(** Events with no static termination proof, with the reason — the
-    ones the per-tenant fuel throttle should watch hardest. *)
-
-val fuel_verdict :
-  t -> Container.t ->
-  [ `Within of int  (** worst provably-bounded entry, within quota *)
-  | `Exceeds of int * int  (** (event, bound): one entry can overrun the window quota *)
-  | `Unproven of int list  (** events with no static bound *) ]
-(** Compare every event's static fuel bound against the frame manager's
-    per-tenant window quota ({!Frame_manager.fuel_quota}, PR 6's
-    throttle).  A policy whose every event is [Bounded] within quota
-    can never be throttled mid-window by its own per-entry cost alone. *)

@@ -911,21 +911,16 @@ let page_fault t container ~fault_va =
       if Vm_page.is_bound page then
         Error "PageFault policy returned a page that is still bound"
       else begin
-        (* the slot leaves the policy's queues and becomes the fault's frame *)
-        (match Vm_page.on_queue page with
+        (* the slot leaves the policy's queues — standard or
+           user-declared — and becomes the fault's frame *)
+        match Vm_page.on_queue page with
+        | None -> Ok page
         | Some _ -> (
-            let q = Container.free_queue container in
-            match Page_queue.mem q page with
-            | true -> Page_queue.remove q page
-            | false -> (
-                let q = Container.inactive_queue container in
-                match Page_queue.mem q page with
-                | true -> Page_queue.remove q page
-                | false ->
-                    let q = Container.active_queue container in
-                    if Page_queue.mem q page then Page_queue.remove q page))
-        | None -> ());
-        Ok page
+            match container_queue_of_page container page with
+            | Some q ->
+                Page_queue.remove q page;
+                Ok page
+            | None -> Error "PageFault policy returned a page on an unknown queue")
       end
   | Executor.Returned (Some (Operand.Page { contents = None })) ->
       Error "PageFault policy returned an empty page register"

@@ -59,7 +59,7 @@ let compact code dead =
 let one_pass code =
   let code, threaded = thread_jumps code in
   let len = Array.length code in
-  let reachable = Checker.Lint.reachable code in
+  let reachable = Analysis.reachable code in
   (* Constant facts from the bare-code abstract interpreter (no operand
      environment, so every fact holds whatever the install-time operand
      values are).  Lazy: most passes never decide a branch. *)

@@ -74,7 +74,6 @@ type t = {
      kernel-visible access recency (Vm_page.last_access) is maintained
      on hits as well as faults.  The LRU/MRU complex commands read it. *)
   page_by_frame : Vm_page.t option array;
-  mutable access_recorder : (Task.t -> vpn:int -> write:bool -> unit) option;
   io_policy : Io_retry.policy;
   io_stats : Io_retry.stats;
   (* overload protection: absent unless [enable_pressure] engages it, so
@@ -107,7 +106,6 @@ let create ?(config = default_config) () =
     managers = Hashtbl.create 16;
     next_disk_block = 0;
     page_by_frame = Array.make config.total_frames None;
-    access_recorder = None;
     io_policy = config.io_retry;
     io_stats = Io_retry.create_stats ();
     pressure = None;
@@ -541,12 +539,9 @@ let resolve_cow_write t task region ~vpn =
   Pmap.protect (Task.pmap task) ~vpn ~prot:region.Vm_map.prot;
   emit_fault t task ~vpn ~t0 Hipec_trace.Event.Cow
 
-let set_access_recorder t tap = t.access_recorder <- tap
-
 let access_vpn t task ~vpn ~write =
   if not (Task.alive task) then
     invalid_arg (Printf.sprintf "Kernel.access: task %s is dead" (Task.name task));
-  (match t.access_recorder with Some tap -> tap task ~vpn ~write | None -> ());
   Tr.access ~task:(Task.id task) ~vpn ~write;
   let t0 = Engine.now t.engine in
   Fun.protect

@@ -109,11 +109,6 @@ val access : t -> Task.t -> va:int -> write:bool -> unit
 
 val access_vpn : t -> Task.t -> vpn:int -> write:bool -> unit
 
-val set_access_recorder : t -> (Task.t -> vpn:int -> write:bool -> unit) option -> unit
-(** Install (or clear) a tap on the memory-reference stream — the
-    simulated analogue of a tracing pmap.  Used to capture real traces
-    for the offline policy advisor. *)
-
 val touch_region : t -> Task.t -> Vm_map.region -> write:bool -> unit
 (** Reference every page of the region once, in ascending order. *)
 

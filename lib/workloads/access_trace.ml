@@ -57,30 +57,6 @@ let working_set_phases rng ~npages ~phases ~phase_len ~ws_pages =
   done;
   out
 
-let record kernel task region f =
-  let out = ref [] in
-  let last = ref None in
-  let tid = Task.id task in
-  Kernel.set_access_recorder kernel
-    (Some
-       (fun t ~vpn ~write ->
-         if
-           Task.id t = tid
-           && vpn >= region.Vm_map.start_vpn
-           && vpn < Vm_map.region_end_vpn region
-         then begin
-           let page = vpn - region.Vm_map.start_vpn in
-           match !last with
-           | Some (p, w) when p = page && w = write -> ()
-           | _ ->
-               last := Some (page, write);
-               out := { page; write } :: !out
-         end));
-  let result =
-    Fun.protect ~finally:(fun () -> Kernel.set_access_recorder kernel None) f
-  in
-  (result, Array.of_list (List.rev !out))
-
 let replay kernel task region trace =
   let npages = region.Vm_map.npages in
   Array.iter

@@ -34,13 +34,6 @@ val working_set_phases :
 (** Program phase behaviour: each phase draws uniformly from a random
     window of [ws_pages] pages. *)
 
-val record : Kernel.t -> Task.t -> Vm_map.region -> (unit -> 'a) -> 'a * access array
-(** Capture the page references [f] makes inside [region] (references by
-    other tasks or to other regions are ignored) as a page-granularity
-    trace, deduplicating consecutive same-page references the way a TLB
-    hides them.  The recorder is removed afterwards.  Feed the result to
-    {!Policy_sim.advise} to pick a policy from real behaviour. *)
-
 val replay : Kernel.t -> Task.t -> Vm_map.region -> access array -> unit
 (** Issue every access through {!Kernel.access_vpn}.  Raises
     [Invalid_argument] if an access lies outside the region. *)

@@ -109,12 +109,13 @@ let test_check_termination () =
   | Ok () -> Alcotest.fail "body falling off the end accepted"
 
 (* ------------------------------------------------------------------ *)
-(* Lint (framework-hosted structural rules)                            *)
+(* Lint: the structural rules                                         *)
 (* ------------------------------------------------------------------ *)
 
 let lint_messages program =
-  List.map (fun w -> (w.Checker.Lint.event, w.Checker.Lint.cc, w.Checker.Lint.message))
-    (Checker.Lint.run program)
+  List.map
+    (fun f -> (f.Analysis.event, f.Analysis.cc, f.Analysis.rule, f.Analysis.message))
+    (Analysis.findings (Analysis.analyze program))
 
 let test_lint_jump_cycle_and_unreachable () =
   let program =
@@ -127,10 +128,13 @@ let test_lint_jump_cycle_and_unreachable () =
   let msgs = lint_messages program in
   Alcotest.(check bool) "jump cycle reported" true
     (List.mem
-       (Events.page_fault, Some 2, "unconditional jump cycle through CC 2, 3 never terminates")
+       ( Events.page_fault,
+         Some 2,
+         "jump-cycle",
+         "unconditional jump cycle through CC 2, 3 never terminates" )
        msgs);
   Alcotest.(check bool) "skipped return reported unreachable" true
-    (List.mem (Events.page_fault, Some 1, "command is unreachable") msgs)
+    (List.mem (Events.page_fault, Some 1, "unreachable", "command is unreachable") msgs)
 
 let test_lint_orphan_and_reclaim_request () =
   let program =
@@ -144,10 +148,15 @@ let test_lint_orphan_and_reclaim_request () =
   in
   let msgs = lint_messages program in
   Alcotest.(check bool) "orphan user event reported" true
-    (List.mem (Events.first_user, None, "user event is never activated") msgs);
+    (List.mem
+       (Events.first_user, None, "orphan-event", "user event is never activated")
+       msgs);
   Alcotest.(check bool) "Request inside ReclaimFrame reported" true
     (List.mem
-       (Events.reclaim_frame, None, "Request while the manager is reclaiming can thrash")
+       ( Events.reclaim_frame,
+         None,
+         "request-in-reclaim",
+         "Request while the manager is reclaiming can thrash" )
        msgs)
 
 (* ------------------------------------------------------------------ *)
@@ -195,8 +204,6 @@ let test_safe_div_facts () =
   in
   Alcotest.(check bool) "safe_div" true
     (Analysis.safe_div a ~event:Events.page_fault ~cc:0);
-  Alcotest.(check (option ivl)) "divisor interval" (Some (I.const 7))
-    (Analysis.div_interval a ~event:Events.page_fault ~cc:0);
   Alcotest.(check bool) "div-by-zero proven absent" false
     (List.mem Analysis.Div_by_zero (Analysis.possible_traps a));
   Alcotest.(check bool) "no findings" true
@@ -301,9 +308,7 @@ let test_code_level_constants () =
   in
   let info = Analysis.Code.analyze code in
   Alcotest.(check bool) "x >= x decided" true
-    (Analysis.Code.comp_verdict info 2 = `Always_true);
-  Alcotest.(check bool) "taken branch live" true (Analysis.Code.reachable_cc info 4);
-  Alcotest.(check bool) "else branch pruned" false (Analysis.Code.reachable_cc info 5)
+    (Analysis.Code.comp_verdict info 2 = `Always_true)
 
 (* ------------------------------------------------------------------ *)
 (* Fuel                                                                *)
@@ -565,10 +570,10 @@ let soundness_prop =
       with
       | Error e -> QCheck.Test.fail_reportf "install failed: %s" e
       | Ok (region, container) ->
+          (* the operand array the install built, before any fault *)
           let analysis =
-            match Api.analysis sys container with
-            | Some a -> a
-            | None -> QCheck.Test.fail_report "no install-time analysis recorded"
+            Analysis.analyze ~ops:(Container.operands container)
+              (Container.program container)
           in
           (* (b) every event of these loop-free programs gets a static
              bound, and one measured entry never exceeds it *)

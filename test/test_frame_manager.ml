@@ -15,7 +15,13 @@
    - seize_one's off-queue scan ignored pages still linked on a
      user-declared queue, freeing their frames while the queue node
      still pointed at them — corrupting the queue.  Forced reclamation
-     must unlink before freeing; the auditor's sweep stays clean. *)
+     must unlink before freeing; the auditor's sweep stays clean.
+
+   - A PageFault return still linked on a user-declared queue was only
+     looked for on the three standard queues, so the active-queue
+     enqueue that follows the fault raised [Invalid_argument] out of
+     [Kernel.access_vpn].  The fault path must unlink the slot from
+     whichever container queue holds it. *)
 
 open Hipec_core
 open Hipec_vm
@@ -39,25 +45,29 @@ type harness = {
 let asm items =
   match Program.Asm.assemble items with Ok code -> code | Error e -> failwith e
 
-(* A system whose policy has the standard PageFault/ReclaimFrame pair
-   plus the probe event under test, and a user-declared queue. *)
-let make ?(x = 0) ?(r = 1) ?(min_frames = 8) ?(total_frames = 256) probe_code =
+let standard_page_fault =
+  asm
+    [
+      Op (Instr.Emptyq Std.free_queue);
+      Jump_to "take";
+      Op (Instr.Fifo Std.active_queue);
+      Jump_to "take";
+      Label "take";
+      Op (Instr.Dequeue (Std.page_reg, Std.free_queue, Opcode.Queue_end.Head));
+      Op (Instr.Return Std.page_reg);
+    ]
+
+(* A system whose policy has a PageFault/ReclaimFrame pair (the
+   standard FIFO PageFault unless [page_fault] replaces it) plus the
+   probe event under test, and a user-declared queue. *)
+let make ?(x = 0) ?(r = 1) ?(min_frames = 8) ?(total_frames = 256)
+    ?(page_fault = standard_page_fault) probe_code =
   let rx = ref x and rr = ref r in
   let user_q = Page_queue.create "user-q" in
   let program =
     Program.make
       [
-        ( Events.page_fault,
-          asm
-            [
-              Op (Instr.Emptyq Std.free_queue);
-              Jump_to "take";
-              Op (Instr.Fifo Std.active_queue);
-              Jump_to "take";
-              Label "take";
-              Op (Instr.Dequeue (Std.page_reg, Std.free_queue, Opcode.Queue_end.Head));
-              Op (Instr.Return Std.page_reg);
-            ] );
+        (Events.page_fault, page_fault);
         (Events.reclaim_frame, [| Instr.Return Std.null |]);
         (probe_event, probe_code);
       ]
@@ -272,6 +282,39 @@ let test_forced_seize_unlinks_user_queue () =
   Audit.register_queue auditor (Container.active_queue h.container);
   Alcotest.(check (list string)) "audit sweep clean" []
     (List.map (fun v -> v.Audit.check) (Audit.sweep auditor))
+
+(* ------------------------------------------------------------------ *)
+(* A PageFault return still linked on a user-declared queue            *)
+(* ------------------------------------------------------------------ *)
+
+let test_fault_return_on_user_queue () =
+  let h =
+    make
+      ~page_fault:
+        [|
+          Instr.Dequeue (Std.page_reg, Std.free_queue, Opcode.Queue_end.Head);
+          Instr.Enqueue (Std.page_reg, uq_slot, Opcode.Queue_end.Tail);
+          Instr.Return Std.page_reg;
+        |]
+      [| Instr.Return Std.null |]
+  in
+  fill_active h 1;
+  Alcotest.(check bool) "policy not demoted" false (Container.degraded h.container);
+  Alcotest.(check int) "page resident" 1 (Container.resident_pages h.container);
+  let active = Container.active_queue h.container in
+  Alcotest.(check int) "page on the active queue" 1 (Page_queue.length active);
+  Page_queue.iter
+    (fun page -> Alcotest.(check bool) "active page bound" true (Vm_page.is_bound page))
+    active;
+  Alcotest.(check int) "user queue empty" 0 (Page_queue.length h.user_q);
+  List.iter
+    (fun q ->
+      Alcotest.(check bool)
+        (Page_queue.name q ^ " invariants")
+        true (Page_queue.check_invariants q))
+    [ h.user_q; Container.free_queue h.container; active ];
+  Alcotest.(check bool) "frames conserved" true
+    (Frame.Table.check_conservation (Kernel.frame_table h.kernel))
 
 (* ------------------------------------------------------------------ *)
 (* Overload protection: fuel throttling and admission shedding         *)
@@ -574,6 +617,11 @@ let () =
         [
           Alcotest.test_case "forced seize unlinks user queues" `Quick
             test_forced_seize_unlinks_user_queue;
+        ] );
+      ( "fault",
+        [
+          Alcotest.test_case "returned slot on a user-declared queue" `Quick
+            test_fault_return_on_user_queue;
         ] );
       ( "overload",
         [

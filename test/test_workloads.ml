@@ -257,41 +257,6 @@ let test_table4_values () =
     T.(t4.Driver.hipec_fast_path < t4.Driver.null_syscall
       && t4.Driver.null_syscall < t4.Driver.null_ipc)
 
-let test_trace_record_roundtrip () =
-  (* recording a replay reproduces the trace (modulo the TLB-style
-     dedup of consecutive identical references) *)
-  let config = { Kernel.default_config with total_frames = 256 } in
-  let k = Kernel.create ~config () in
-  let task = Kernel.create_task k () in
-  let region = Kernel.vm_allocate k task ~npages:20 in
-  let original = Access_trace.cyclic ~npages:20 ~loops:2 ~write:false in
-  let (), recorded =
-    Access_trace.record k task region (fun () ->
-        Access_trace.replay k task region original)
-  in
-  Alcotest.(check int) "same length" (Array.length original) (Array.length recorded);
-  Alcotest.(check bool) "same pages" true
-    (Array.for_all2
-       (fun a b -> a.Access_trace.page = b.Access_trace.page)
-       original recorded);
-  (* and advising on the recording picks MRU, as for the raw trace *)
-  Alcotest.(check string) "advice from real behaviour" "MRU"
-    (Policy_sim.policy_name (Policy_sim.advise ~frames:10 recorded))
-
-let test_trace_record_filters_other_regions () =
-  let config = { Kernel.default_config with total_frames = 256 } in
-  let k = Kernel.create ~config () in
-  let task = Kernel.create_task k () in
-  let watched = Kernel.vm_allocate k task ~npages:10 in
-  let other = Kernel.vm_allocate k task ~npages:10 in
-  let (), recorded =
-    Access_trace.record k task watched (fun () ->
-        Kernel.touch_region k task other ~write:false;
-        Kernel.access_vpn k task ~vpn:watched.Vm_map.start_vpn ~write:true)
-  in
-  Alcotest.(check int) "only the watched reference" 1 (Array.length recorded);
-  Alcotest.(check bool) "write recorded" true recorded.(0).Access_trace.write
-
 (* ------------------------------------------------------------------ *)
 (* Offline policy simulation (Policy_sim)                              *)
 (* ------------------------------------------------------------------ *)
@@ -511,8 +476,6 @@ let () =
           Alcotest.test_case "zipf skew" `Quick test_trace_zipf_skew;
           Alcotest.test_case "working set bounds" `Quick test_trace_working_set_bounds;
           Alcotest.test_case "replay counts faults" `Quick test_trace_replay_counts_faults;
-          Alcotest.test_case "record roundtrip" `Quick test_trace_record_roundtrip;
-          Alcotest.test_case "record filters" `Quick test_trace_record_filters_other_regions;
         ] );
       ( "join",
         [
