@@ -31,8 +31,9 @@ metrics-bench:
 storm:
 	dune exec bin/hipec_cli.exe -- storm --smoke
 
-# storm isolation metrics; fails on digest instability across runs and
-# rewrites BENCH_5.json
+# storm isolation metrics; fails on the storm's acceptance checks
+# (conservation, audits, honest survival) or on digest instability
+# across runs, and rewrites BENCH_5.json
 storm-bench:
 	dune exec bench/main.exe -- storm --quick
 
@@ -84,12 +85,13 @@ perfbench-smoke:
 	done
 
 # What CI runs: full build, the whole test suite (which includes the
-# oracle, golden, storm, span and adversary suites), the policy lint
+# oracle, golden, storm, span and adversary suites), the example
+# programs written against the public API, the policy lint
 # gate, the Figure 6 fault-count gate, the chaos and storm acceptance
 # checks at smoke scale, the adversary regression gate, the span
 # attribution runs, the metrics, storm, adversary and spans benches,
 # and the benchmark smoke.
-ci: all test lint oracle golden fig6 chaos storm adversary spans metrics-bench storm-bench adversary-bench spans-bench perfbench-smoke
+ci: all test examples lint oracle golden fig6 chaos storm adversary spans metrics-bench storm-bench adversary-bench spans-bench perfbench-smoke
 
 bench:
 	dune exec bench/main.exe

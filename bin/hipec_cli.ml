@@ -19,6 +19,17 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* A size, count or duration below 1 gives a degenerate run (or a crash
+   deep in the simulator): refuse it up front as a usage error. *)
+let require_positive cmd flags =
+  List.iter
+    (fun (flag, v) ->
+      if v < 1 then begin
+        Printf.eprintf "hipec %s: %s must be >= 1\n" cmd flag;
+        exit 2
+      end)
+    flags
+
 (* ------------------------------------------------------------------ *)
 (* translate                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -342,6 +353,8 @@ let join_cmd =
     Arg.(value & opt int 64 & info [ "scans" ] ~docv:"N" ~doc:"Outer-table scans (Loop).")
   in
   let run outer memory policy scans =
+    require_positive "run-join"
+      [ ("--outer", outer); ("--memory", memory); ("--scans", scans) ];
     let c =
       {
         Join.default_config with
@@ -388,6 +401,7 @@ let aim_cmd =
   in
   let hipec = Arg.(value & flag & info [ "hipec" ] ~doc:"Run on the HiPEC kernel.") in
   let run users mix seconds hipec =
+    require_positive "run-aim" [ ("--users", users); ("--seconds", seconds) ];
     let cfg =
       { Aim.default_config with Aim.users; mix; duration = T.sec seconds;
         hipec_kernel = hipec }
@@ -415,6 +429,7 @@ let table3_cmd =
     Arg.(value & opt int 10_240 & info [ "pages" ] ~docv:"N" ~doc:"Pages to fault (10240 = 40 MB).")
   in
   let run pages =
+    require_positive "table3" [ ("--pages", pages) ];
     List.iter
       (fun with_disk_io ->
         let mach = Driver.table3_run ~pages Driver.Mach ~with_disk_io in
@@ -948,7 +963,7 @@ let chaos_cmd =
     (match rate with
     | Some p when p < 0. || p >= 1. ->
         prerr_endline "hipec chaos: --transient-rate must lie in [0, 1)";
-        exit 124
+        exit 2
     | _ -> ());
     let base = if smoke then Chaos.smoke else Chaos.t3 in
     let config =
@@ -964,11 +979,11 @@ let chaos_cmd =
     Printf.printf "throughput degradation vs clean disk: %+.2f%%\n\n"
       (Chaos.degradation_percent ~clean ~faulty);
     print_endline faulty.Chaos.kstat;
-    if
-      faulty.Chaos.task_kills = 0 && faulty.Chaos.demotions >= 1
-      && faulty.Chaos.audit_violations = 0
-    then 0
-    else 1
+    match Chaos.failures faulty with
+    | [] -> 0
+    | fs ->
+        List.iter (Printf.eprintf "hipec chaos: FAIL %s\n") fs;
+        1
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -1038,12 +1053,11 @@ let storm_cmd =
     let r = Storm.run config in
     Format.printf "%a@.@." Storm.pp_result r;
     print_endline r.Storm.kstat;
-    (* honest tenants must survive the storm with the books balanced *)
-    if
-      r.Storm.conservation_ok && r.Storm.audit_violations = 0
-      && r.Storm.honest_alive > 0
-    then 0
-    else 1
+    match Storm.failures r with
+    | [] -> 0
+    | fs ->
+        List.iter (Printf.eprintf "hipec storm: FAIL %s\n") fs;
+        1
   in
   Cmd.v
     (Cmd.info "storm"

@@ -89,7 +89,6 @@ let stop_execution t = t.executing <- false
 let set_execution_started t = function
   | None -> t.executing <- false
   | Some at -> start_execution t ~at
-let timed_out t = t.timed_out
 let set_timed_out t = t.timed_out <- true
 let state t = t.state
 let degraded t = match t.state with Degraded _ -> true | Active | Throttled _ -> false

@@ -61,7 +61,6 @@ val stop_execution : t -> unit
 val set_execution_started : t -> Sim_time.t option -> unit
 (** Compatibility wrapper over {!start_execution}/{!stop_execution}. *)
 
-val timed_out : t -> bool
 val set_timed_out : t -> unit
 
 (** {1 Degradation and throttling} *)

@@ -101,5 +101,3 @@ val install_std : t -> name:string ->
 (** Populate slots 0x00..0x0F: fresh queues with live [Count] views,
     target integers, the fault-VA and reclaim-target cells, the page
     register and scratch space. *)
-
-val pp_value : Format.formatter -> value -> unit

@@ -1,7 +1,6 @@
 type t = int
 
 let zero = 0
-let is_zero t = t = 0
 
 let ns n =
   if n < 0 then invalid_arg "Sim_time.ns: negative";

@@ -78,11 +78,25 @@ val decode : string -> pos:int ref -> seq:int -> t
 (** Reads one event starting at [!pos], advancing [pos].
     Raises [Failure] on malformed input. *)
 
+val put_varint : Buffer.t -> int -> unit
+(** The codec's unsigned LEB128 writer; raises [Invalid_argument] on a
+    negative value.  Exposed for the file format's framing fields and
+    the span digest. *)
+
+val put_string : Buffer.t -> string -> unit
+(** A varint length followed by the bytes. *)
+
 val decode_varint : string -> int ref -> int
 (** The codec's unsigned LEB128 reader, exposed for the file format's
     framing fields. *)
 
+val fault_kind_code : fault_kind -> int
+(** The byte a fault kind encodes to. *)
+
 (** {1 Rendering} *)
+
+val fault_kind_name : fault_kind -> string
+(** ["soft" | "zero-fill" | "pagein" | "cow" | "hipec"]. *)
 
 val to_json : Buffer.t -> t -> unit
 val pp : Format.formatter -> t -> unit

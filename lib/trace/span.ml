@@ -106,45 +106,10 @@ let create () =
     pending = [];
     spans_rev = [];
     nspans = 0;
-    digest = 0xcbf29ce484222325L;  (* FNV-1a 64 offset basis *)
+    digest = Trace.fnv_offset_basis;
     kill_count = 0;
     scratch = Buffer.create 128;
   }
-
-let fnv_prime = 0x100000001b3L
-
-let digest_buffer h (b : Buffer.t) =
-  let h = ref h in
-  for i = 0 to Buffer.length b - 1 do
-    h :=
-      Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Buffer.nth b i)))) fnv_prime
-  done;
-  !h
-
-let put_varint b n =
-  if n < 0 then invalid_arg "Span: negative digest field";
-  let rec go n =
-    if n < 0x80 then Buffer.add_char b (Char.chr n)
-    else begin
-      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
-
-let fault_kind_code = function
-  | Event.Soft -> 0
-  | Event.Zero_fill -> 1
-  | Event.File_pagein -> 2
-  | Event.Cow -> 3
-  | Event.Hipec -> 4
-
-let fault_kind_name = function
-  | Event.Soft -> "soft"
-  | Event.Zero_fill -> "zero-fill"
-  | Event.File_pagein -> "pagein"
-  | Event.Cow -> "cow"
-  | Event.Hipec -> "hipec"
 
 (* One interval, attributed from its boundary events (priority order in
    the header comment).  These run once per segment on the online hot
@@ -193,21 +158,21 @@ let classify ~prev ~next =
 
 let digest_span b sp =
   Buffer.clear b.scratch;
-  put_varint b.scratch sp.task;
-  put_varint b.scratch sp.vpn;
-  Buffer.add_char b.scratch (Char.chr (fault_kind_code sp.fault_kind));
-  put_varint b.scratch sp.start_ns;
-  put_varint b.scratch sp.latency_ns;
-  put_varint b.scratch sp.policy_runs;
-  put_varint b.scratch sp.disk_reads;
-  put_varint b.scratch sp.retries;
-  put_varint b.scratch (Array.length sp.segments);
+  Event.put_varint b.scratch sp.task;
+  Event.put_varint b.scratch sp.vpn;
+  Buffer.add_char b.scratch (Char.chr (Event.fault_kind_code sp.fault_kind));
+  Event.put_varint b.scratch sp.start_ns;
+  Event.put_varint b.scratch sp.latency_ns;
+  Event.put_varint b.scratch sp.policy_runs;
+  Event.put_varint b.scratch sp.disk_reads;
+  Event.put_varint b.scratch sp.retries;
+  Event.put_varint b.scratch (Array.length sp.segments);
   Array.iter
     (fun s ->
       Buffer.add_char b.scratch (Char.chr (segment_kind_index s.seg_kind));
-      put_varint b.scratch (seg_dur_ns s))
+      Event.put_varint b.scratch (seg_dur_ns s))
     sp.segments;
-  b.digest <- digest_buffer b.digest b.scratch
+  b.digest <- Trace.fnv1a b.digest b.scratch
 
 let close b ev ~task ~vpn ~kind ~latency_ns =
   let stop = Sim_time.to_ns ev.Event.time in
@@ -470,7 +435,7 @@ let to_perfetto spans =
     (fun sp ->
       emit (fun () ->
           perfetto_event b
-            ~name:("fault:" ^ fault_kind_name sp.fault_kind)
+            ~name:("fault:" ^ Event.fault_kind_name sp.fault_kind)
             ~cat:"fault" ~tid:sp.task ~start_ns:sp.start_ns ~dur_ns:sp.latency_ns
             ~args:
               [
@@ -504,7 +469,7 @@ let json_span b sp =
   Buffer.add_string b
     (Printf.sprintf
        "{\"index\":%d,\"task\":%d,\"vpn\":%d,\"kind\":\"%s\",\"start_ns\":%d,\"latency_ns\":%d,\"policy_runs\":%d,\"disk_reads\":%d,\"retries\":%d,\"segments\":["
-       sp.index sp.task sp.vpn (fault_kind_name sp.fault_kind) sp.start_ns
+       sp.index sp.task sp.vpn (Event.fault_kind_name sp.fault_kind) sp.start_ns
        sp.latency_ns sp.policy_runs sp.disk_reads sp.retries);
   Array.iteri
     (fun i s ->
@@ -561,7 +526,7 @@ let to_json ?(include_spans = true) ?only_task builder =
 
 let pp_span fmt sp =
   Format.fprintf fmt "@[<v>#%d task=%d vpn=%d %s %d ns @@%d ns" sp.index sp.task
-    sp.vpn (fault_kind_name sp.fault_kind) sp.latency_ns sp.start_ns;
+    sp.vpn (Event.fault_kind_name sp.fault_kind) sp.latency_ns sp.start_ns;
   List.iter
     (fun (kind, a, z, nsegs) ->
       Format.fprintf fmt "@,  %-13s %12d ns%s" (segment_kind_name kind) (z - a)

@@ -81,8 +81,9 @@ val spans : builder -> t array
 (** All spans so far, in fault order. *)
 
 val digest : builder -> int64
-(** Chained FNV-1a over the canonical encoding of every span fed so
-    far; [Trace.digest_hex] renders it. *)
+(** Chained FNV-1a ({!Trace.fnv1a}) over the canonical encoding of
+    every span fed so far, written with the event codec's varints;
+    [Trace.digest_hex] renders it. *)
 
 val fault_count : builder -> int
 val kills : builder -> int

@@ -9,9 +9,6 @@ let space_container = 2
 type collector = {
   mutable seq : int;
   counts : int array;
-  fault_latency : int array;  (* 16 x 1ms buckets *)
-  mutable fault_latency_overflow : int;
-  ring : Event.t option array;
   mutable digest : int64;
   scratch : Buffer.t;
   store : Buffer.t option;
@@ -29,15 +26,25 @@ let enabled = ref false
 let on () = !enabled
 let active () = !current
 
-let start ?(ring = 512) ?(store = false) ?clock () =
+let fnv_offset_basis = 0xcbf29ce484222325L
+let fnv_prime = 0x100000001b3L
+
+let fnv1a h (b : Buffer.t) =
+  let h = ref h in
+  for i = 0 to Buffer.length b - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (Buffer.nth b i))))
+        fnv_prime
+  done;
+  !h
+
+let start ?(store = false) ?clock () =
   let c =
     {
       seq = 0;
       counts = Array.make Event.num_categories 0;
-      fault_latency = Array.make 16 0;
-      fault_latency_overflow = 0;
-      ring = Array.make (max 1 ring) None;
-      digest = 0xcbf29ce484222325L;  (* FNV-1a 64 offset basis *)
+      digest = fnv_offset_basis;
       scratch = Buffer.create 64;
       store = (if store then Some (Buffer.create 4096) else None);
       clock = Option.value clock ~default:(fun () -> Sim_time.zero);
@@ -59,27 +66,14 @@ let stop () =
 let set_clock f = match !current with Some c -> c.clock <- f | None -> ()
 let set_consumer f = match !current with Some c -> c.consumer <- f | None -> ()
 
-let fnv_prime = 0x100000001b3L
-
-let digest_bytes h (b : Buffer.t) =
-  let h = ref h in
-  for i = 0 to Buffer.length b - 1 do
-    h :=
-      Int64.mul
-        (Int64.logxor !h (Int64.of_int (Char.code (Buffer.nth b i))))
-        fnv_prime
-  done;
-  !h
-
 let push c payload =
   let ev = { Event.seq = c.seq; time = c.clock (); payload } in
   c.seq <- c.seq + 1;
   c.counts.(Event.tag payload) <- c.counts.(Event.tag payload) + 1;
   Buffer.clear c.scratch;
   Event.encode c.scratch ev;
-  c.digest <- digest_bytes c.digest c.scratch;
+  c.digest <- fnv1a c.digest c.scratch;
   (match c.store with Some b -> Buffer.add_buffer b c.scratch | None -> ());
-  c.ring.(ev.Event.seq mod Array.length c.ring) <- Some ev;
   match c.consumer with Some f -> f ev | None -> ()
 
 let norm c space raw =
@@ -98,9 +92,6 @@ let access ~task ~vpn ~write =
 
 let fault ~task ~vpn ~kind ~latency_ns =
   with_c (fun c ->
-      let bucket = latency_ns / 1_000_000 in
-      if bucket < 16 then c.fault_latency.(bucket) <- c.fault_latency.(bucket) + 1
-      else c.fault_latency_overflow <- c.fault_latency_overflow + 1;
       push c (Event.Fault { task = norm c space_task task; vpn; kind; latency_ns }))
 
 let pagein ~task ~block =
@@ -166,17 +157,6 @@ let counts c = Array.copy c.counts
 let digest c = c.digest
 let digest_hex d = Printf.sprintf "%016Lx" d
 
-let recent c =
-  let cap = Array.length c.ring in
-  let first = max 0 (c.seq - cap) in
-  let out = ref [] in
-  for s = c.seq - 1 downto first do
-    match c.ring.(s mod cap) with
-    | Some ev when ev.Event.seq = s -> out := ev :: !out
-    | Some _ | None -> ()
-  done;
-  !out
-
 let decode_stream s count =
   let pos = ref 0 in
   Array.init count (fun seq -> Event.decode s ~pos ~seq)
@@ -186,11 +166,9 @@ let events c =
   | None -> invalid_arg "Trace.events: collector was started without ~store:true"
   | Some b -> decode_stream (Buffer.contents b) c.seq
 
-let fault_latency_buckets c = (Array.copy c.fault_latency, c.fault_latency_overflow)
-
-(* Shared category-count and latency-bucket formatting: [pp_summary] and
-   [Kstat.pp] print the same strings, built here exactly once so the two
-   surfaces cannot drift apart. *)
+(* Shared category-count formatting: [pp_summary] and [Kstat.pp] print
+   the same string, built here exactly once so the two surfaces cannot
+   drift apart. *)
 let counts_summary c =
   let parts = ref [] in
   for i = Event.num_categories - 1 downto 0 do
@@ -199,18 +177,10 @@ let counts_summary c =
   done;
   String.concat ", " !parts
 
-let fault_latency_summary c =
-  Printf.sprintf "[%s | >16ms %d]"
-    (String.concat " " (Array.to_list (Array.map string_of_int c.fault_latency)))
-    c.fault_latency_overflow
-
 let pp_summary fmt c =
   Format.fprintf fmt "@[<v>trace: %d events, digest %s@," c.seq (digest_hex c.digest);
   let counts = counts_summary c in
   Format.fprintf fmt "  counts: %s@," (if counts = "" then "(empty)" else counts);
-  let total_faults = Array.fold_left ( + ) c.fault_latency_overflow c.fault_latency in
-  if total_faults > 0 then
-    Format.fprintf fmt "  fault latency (1ms buckets): %s@," (fault_latency_summary c);
   Format.fprintf fmt "@]"
 
 (* ------------------------------------------------------------------ *)
@@ -228,27 +198,13 @@ module Recorded = struct
   let save t ~path =
     let b = Buffer.create 4096 in
     Buffer.add_string b magic;
-    let put_varint n =
-      let rec go n =
-        if n < 0x80 then Buffer.add_char b (Char.chr n)
-        else begin
-          Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
-          go (n lsr 7)
-        end
-      in
-      go n
-    in
-    let put_string s =
-      put_varint (String.length s);
-      Buffer.add_string b s
-    in
-    put_varint (List.length t.meta);
+    Event.put_varint b (List.length t.meta);
     List.iter
       (fun (k, v) ->
-        put_string k;
-        put_string v)
+        Event.put_string b k;
+        Event.put_string b v)
       t.meta;
-    put_varint (Array.length t.events);
+    Event.put_varint b (Array.length t.events);
     Array.iter (fun ev -> Event.encode b ev) t.events;
     Buffer.add_int64_be b t.digest;
     let oc = open_out_bin path in
@@ -292,15 +248,13 @@ module Recorded = struct
           if body_end + 8 > String.length s then failwith "truncated digest";
           let stored = String.get_int64_be s body_end in
           (* recompute the streaming digest over the encoded bytes *)
-          let h = ref 0xcbf29ce484222325L in
-          for i = body_start to body_end - 1 do
-            h :=
-              Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) fnv_prime
-          done;
-          if !h <> stored then
+          let body = Buffer.create (body_end - body_start) in
+          Buffer.add_substring body s body_start (body_end - body_start);
+          let h = fnv1a fnv_offset_basis body in
+          if h <> stored then
             failwith
               (Printf.sprintf "digest mismatch: file says %s, events hash to %s"
-                 (digest_hex stored) (digest_hex !h));
+                 (digest_hex stored) (digest_hex h));
           Ok { meta; events; digest = stored }
         with
         | Failure e -> Error (path ^ ": " ^ e)

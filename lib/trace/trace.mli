@@ -7,10 +7,11 @@
     snapshot) guard on {!on} first.
 
     A collector stamps every event with the registered simulation clock,
-    keeps per-category counters, a fault-latency histogram, a bounded
-    ring of recent events, a streaming FNV-1a digest of the encoded
-    event bytes, and (optionally) the full stream for {!Recorded}
-    serialization.  Task/object/container ids are normalized to dense
+    keeps per-category counters, a streaming FNV-1a digest of the
+    encoded event bytes, and (optionally) the full stream for
+    {!Recorded} serialization.  Fault latency distributions live
+    elsewhere: the metrics registry's [vm.fault.*.ns] histograms and
+    {!Span.Agg}.  Task/object/container ids are normalized to dense
     first-seen order so digests are independent of global id counters
     left behind by earlier runs in the same process. *)
 
@@ -18,10 +19,9 @@ open Hipec_sim
 
 type collector
 
-val start : ?ring:int -> ?store:bool -> ?clock:(unit -> Sim_time.t) -> unit -> collector
+val start : ?store:bool -> ?clock:(unit -> Sim_time.t) -> unit -> collector
 (** Install a fresh collector as the global sink (replacing any current
-    one).  [ring] bounds the recent-event buffer (default 512);
-    [store] (default false) retains the full encoded stream, required
+    one).  [store] (default false) retains the full encoded stream, required
     for {!Recorded.of_collector}.  The clock defaults to a constant
     zero until {!set_clock} is called — {!Kernel.create} registers its
     engine automatically. *)
@@ -37,7 +37,7 @@ val set_clock : (unit -> Sim_time.t) -> unit
 val set_consumer : (Event.t -> unit) option -> unit
 (** Install (or clear, with [None]) a live event consumer on the
     current collector: it observes every pushed event after the digest
-    and ring updates, in stream order, with ids already normalized —
+    update, in stream order, with ids already normalized —
     exactly the events a recording would replay, which is what makes
     online and offline span reconstruction bit-identical.  One [match]
     per event when unset; a no-op when no collector is installed. *)
@@ -77,26 +77,22 @@ val counts : collector -> int array
 
 val digest : collector -> int64
 val digest_hex : int64 -> string
-val recent : collector -> Event.t list
-(** Up to [ring] most recent events, oldest first. *)
+
+val fnv_offset_basis : int64
+
+val fnv1a : int64 -> Buffer.t -> int64
+(** [fnv1a h b] folds the bytes of [b] into the 64-bit FNV-1a hash [h]
+    (start from {!fnv_offset_basis}).  The stream digest, the [.trace]
+    file check and {!Span.digest} all hash this way. *)
 
 val events : collector -> Event.t array
 (** The full stream; raises [Invalid_argument] unless the collector was
     started with [~store:true]. *)
 
-val fault_latency_buckets : collector -> int array * int
-(** 16 uniform 1 ms buckets over [0, 16 ms) of fault service latency,
-    plus the overflow count.  A latency of exactly 16 ms lands in the
-    overflow count, not in the last bucket. *)
-
 val counts_summary : collector -> string
 (** ["access 12, fault 3, ..."] in category order; [""] when no events
     have been recorded.  Shared by {!pp_summary} and [Kstat.pp] so the
     two surfaces print identical strings. *)
-
-val fault_latency_summary : collector -> string
-(** ["[c0 c1 ... c15 | >16ms n]"] — the bucket counts of
-    {!fault_latency_buckets} in display form. *)
 
 val pp_summary : Format.formatter -> collector -> unit
 

@@ -53,9 +53,6 @@ let register_check t ~name f =
   if not (List.mem_assoc name t.extra_checks) then
     t.extra_checks <- t.extra_checks @ [ (name, f) ]
 
-let unregister_check t ~name =
-  t.extra_checks <- List.filter (fun (n, _) -> n <> name) t.extra_checks
-
 (* One full consistency sweep.  Checks, in order:
    - the frame table's free-list conservation;
    - every audited queue's link invariants and each member's [on_queue];

@@ -41,8 +41,6 @@ val register_check : t -> name:string -> (unit -> (string * string) list) -> uni
     minimum — with the violating container named in [detail].
     Idempotent per [name]. *)
 
-val unregister_check : t -> name:string -> unit
-
 val sweep : t -> violation list
 (** Run one full sweep now; returns (and counts) the violations found. *)
 

@@ -129,7 +129,6 @@ let disk t = t.disk
 let frame_table t = t.frame_table
 let pageout t = t.pageout
 let rng t = t.rng
-let is_hipec_kernel t = t.hipec_kernel
 let now t = Engine.now t.engine
 
 let charge t d =
@@ -354,7 +353,6 @@ let install_page t task region ~obj ~offset ~vpn slot =
          t.stats.pagein_faults <- t.stats.pagein_faults + 1;
          t.stats.cow_copies <- t.stats.cow_copies + 1
      | `Zero ->
-         Task.count_zero_fill task;
          t.stats.zero_fill_faults <- t.stats.zero_fill_faults + 1);
   charge t t.costs.Costs.pmap_enter;
   (* an object with live copies keeps write-protected translations so a
@@ -543,13 +541,6 @@ let access_vpn t task ~vpn ~write =
   if not (Task.alive task) then
     invalid_arg (Printf.sprintf "Kernel.access: task %s is dead" (Task.name task));
   Tr.access ~task:(Task.id task) ~vpn ~write;
-  let t0 = Engine.now t.engine in
-  Fun.protect
-    ~finally:(fun () ->
-      (* the reference plus whatever fault service it triggered is this
-         task's CPU time *)
-      Task.charge_cpu task (Sim_time.sub (Engine.now t.engine) t0))
-  @@ fun () ->
   charge t t.costs.Costs.mem_access;
   match Pmap.access (Task.pmap task) ~vpn ~write with
   | Pmap.Hit frame -> (

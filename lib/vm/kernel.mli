@@ -50,7 +50,6 @@ val frame_table : t -> Frame.Table.t
 val pageout : t -> Pageout.t
 val pageout_ctx : t -> Pageout.ctx
 val rng : t -> Rng.t
-val is_hipec_kernel : t -> bool
 val now : t -> Sim_time.t
 
 val charge : t -> Sim_time.t -> unit

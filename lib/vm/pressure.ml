@@ -10,8 +10,6 @@ let level_name = function
   | Critical -> "critical"
   | Emergency -> "emergency"
 
-let pp_level fmt l = Format.pp_print_string fmt (level_name l)
-
 let of_severity = function
   | 0 -> Normal
   | 1 -> Elevated
@@ -91,4 +89,3 @@ let evaluate t ~free ~free_target ~reserved ~now =
 let level t = t.level
 let changes t = t.changes
 let window_faults t = t.window_faults
-let last_rate t = t.last_rate

@@ -24,7 +24,6 @@ val severity : level -> int
 (** 0..3, the wire encoding used by trace events and metrics gauges. *)
 
 val level_name : level -> string
-val pp_level : Format.formatter -> level -> unit
 
 type t
 
@@ -54,10 +53,6 @@ val changes : t -> int
 
 val window_faults : t -> int
 (** Faults counted in the current (incomplete) window. *)
-
-val last_rate : t -> float
-(** Fault arrival rate (faults/simulated second) of the last completed
-    window; [0.] until one completes. *)
 
 val subscribe : t -> (prev:level -> next:level -> unit) -> unit
 (** Register a listener for level transitions, called inside

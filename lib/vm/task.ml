@@ -1,5 +1,4 @@
 open Hipec_machine
-open Hipec_sim
 
 type t = {
   id : int;
@@ -9,9 +8,6 @@ type t = {
   mutable death_reason : string option;
   mutable faults : int;
   mutable pageins : int;
-  mutable pageouts : int;
-  mutable zero_fills : int;
-  mutable cpu_time : Sim_time.t;
 }
 
 let next_id = ref 0
@@ -27,9 +23,6 @@ let create ?name () =
     death_reason = None;
     faults = 0;
     pageins = 0;
-    pageouts = 0;
-    zero_fills = 0;
-    cpu_time = Sim_time.zero;
   }
 
 let id t = t.id
@@ -40,17 +33,10 @@ let alive t = t.death_reason = None
 
 let kill t ~reason = if alive t then t.death_reason <- Some reason
 
-let death_reason t = t.death_reason
 let faults t = t.faults
 let count_fault t = t.faults <- t.faults + 1
 let pageins t = t.pageins
 let count_pagein t = t.pageins <- t.pageins + 1
-let pageouts t = t.pageouts
-let count_pageout t = t.pageouts <- t.pageouts + 1
-let zero_fills t = t.zero_fills
-let count_zero_fill t = t.zero_fills <- t.zero_fills + 1
-let cpu_time t = t.cpu_time
-let charge_cpu t d = t.cpu_time <- Sim_time.add t.cpu_time d
 
 let pp fmt t =
   Format.fprintf fmt "%s(#%d,%s,faults=%d)" t.name t.id

@@ -58,6 +58,26 @@ type result = {
   kstat : string;
 }
 
+(* Bad blocks live in the swap area: every file extent is already
+   allocated, so the next extents the flat allocator hands out are the
+   first swap slots laundering will write.  Marking those bad exercises
+   the writer-side remap path while keeping every read extent clean —
+   no task ever pages in from a bad block. *)
+let inject_disk_faults kernel ~seed ~transient_rate ~latency_spike_rate ~bad_swap_blocks =
+  let probe = Kernel.alloc_disk_extent kernel ~npages:1 in
+  let bad_blocks =
+    List.init bad_swap_blocks (fun i -> probe + (Vm_object.blocks_per_page * (i + 1)))
+  in
+  Disk.set_faults (Kernel.disk kernel)
+    {
+      Disk.Faults.seed = seed + 1;
+      transient_read_rate = transient_rate;
+      transient_write_rate = transient_rate;
+      latency_spike_rate;
+      latency_spike = Sim_time.ms 20;
+      bad_blocks;
+    }
+
 (* The chaos scenario: a T3-style specific application streaming a
    mapped file under its own FIFO-second-chance policy, a hostile
    application whose policy spins forever (the checker must demote it,
@@ -102,26 +122,10 @@ let run ?(faults = true) config =
     | Error e -> failwith ("Chaos.run: runaway region: " ^ e)
   in
   let writer_region = Kernel.vm_allocate kernel writer_task ~npages:config.writer_pages in
-  (* Bad blocks live in the swap area: every file extent is already
-     allocated, so the next extents the flat allocator hands out are the
-     first swap slots laundering will write.  Marking those bad
-     exercises the writer-side remap path while keeping every read
-     extent clean — no task ever pages in from a bad block. *)
-  (if faults then
-     let probe = Kernel.alloc_disk_extent kernel ~npages:1 in
-     let bad_blocks =
-       List.init config.bad_swap_blocks (fun i ->
-           probe + (Vm_object.blocks_per_page * (i + 1)))
-     in
-     Disk.set_faults (Kernel.disk kernel)
-       {
-         Disk.Faults.seed = config.seed + 1;
-         transient_read_rate = config.transient_rate;
-         transient_write_rate = config.transient_rate;
-         latency_spike_rate = config.latency_spike_rate;
-         latency_spike = Sim_time.ms 20;
-         bad_blocks;
-       });
+  if faults then
+    inject_disk_faults kernel ~seed:config.seed ~transient_rate:config.transient_rate
+      ~latency_spike_rate:config.latency_spike_rate
+      ~bad_swap_blocks:config.bad_swap_blocks;
   List.iter
     (fun c ->
       Audit.register_queue auditor (Container.free_queue c);
@@ -175,6 +179,16 @@ let run ?(faults = true) config =
     audit_violations = Audit.violations_found auditor;
     kstat = Kstat.to_string kernel;
   }
+
+let failures r =
+  List.filter_map
+    (fun (ok, msg) -> if ok then None else Some msg)
+    [
+      (r.task_kills = 0, Printf.sprintf "%d task(s) killed" r.task_kills);
+      (r.demotions >= 1, "no demotion recorded");
+      ( r.audit_violations = 0,
+        Printf.sprintf "auditor found %d invariant violation(s)" r.audit_violations );
+    ]
 
 let degradation_percent ~clean ~faulty =
   let c = float_of_int (Sim_time.to_ns clean.elapsed) in

@@ -60,6 +60,25 @@ val run : ?faults:bool -> config -> result
 (** Run the scenario.  [faults:false] runs the identical schedule on a
     clean disk — the baseline for {!degradation_percent}. *)
 
+val inject_disk_faults :
+  Hipec_vm.Kernel.t ->
+  seed:int ->
+  transient_rate:float ->
+  latency_spike_rate:float ->
+  bad_swap_blocks:int ->
+  unit
+(** Arm the disk's fault injector (seeded with [seed + 1]): transient
+    read and write errors at [transient_rate], 20 ms latency spikes, and
+    [bad_swap_blocks] permanently bad blocks placed in the first swap
+    slots laundering will write.  Call it after every file extent is
+    allocated, so no read extent is bad.  The storm scenario arms its
+    disk the same way. *)
+
+val failures : result -> string list
+(** The acceptance checks [hipec chaos] and [hipec-bench chaos] share:
+    no task killed, at least one demotion, no audit violation.  One
+    message per failed check; [[]] for a healthy run. *)
+
 val degradation_percent : clean:result -> faulty:result -> float
 (** Elapsed-time degradation of the faulty run over the clean one. *)
 

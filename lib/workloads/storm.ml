@@ -165,7 +165,7 @@ let run config =
     | Some _ -> None
     | None ->
         Some
-          (Hipec_trace.Trace.start ~ring:256 ~store:false
+          (Hipec_trace.Trace.start ~store:false
              ~clock:(fun () -> Kernel.now kernel)
              ())
   in
@@ -173,23 +173,11 @@ let run config =
     Audit.create ~period:config.audit_period ~raise_on_violation:false kernel
   in
   Audit.register_check auditor ~name:"hipec-isolation" (Frame_manager.audit_check manager);
-  (* disk fault injection: bad blocks land in the swap slots laundering
-     will write (same construction as the chaos scenario) *)
-  (if config.bad_swap_blocks > 0 then
-     let probe = Kernel.alloc_disk_extent kernel ~npages:1 in
-     let bad_blocks =
-       List.init config.bad_swap_blocks (fun i ->
-           probe + (Vm_object.blocks_per_page * (i + 1)))
-     in
-     Disk.set_faults (Kernel.disk kernel)
-       {
-         Disk.Faults.seed = config.seed + 1;
-         transient_read_rate = config.transient_rate;
-         transient_write_rate = config.transient_rate;
-         latency_spike_rate = config.latency_spike_rate;
-         latency_spike = Sim_time.ms 20;
-         bad_blocks;
-       });
+  if config.bad_swap_blocks > 0 then
+    Chaos.inject_disk_faults kernel ~seed:config.seed
+      ~transient_rate:config.transient_rate
+      ~latency_spike_rate:config.latency_spike_rate
+      ~bad_swap_blocks:config.bad_swap_blocks;
   let shed = ref 0 in
   let policy_for = function
     | Honest -> Policies.fifo_second_chance ()
@@ -392,6 +380,16 @@ let run config =
     digest;
     kstat = Kstat.to_string kernel;
   }
+
+let failures r =
+  List.filter_map
+    (fun (ok, msg) -> if ok then None else Some msg)
+    [
+      (r.conservation_ok, "frame-table conservation broken");
+      ( r.audit_violations = 0,
+        Printf.sprintf "auditor found %d violation(s)" r.audit_violations );
+      (r.honest_alive > 0, "no honest tenant survived");
+    ]
 
 let pp_result fmt r =
   Format.fprintf fmt

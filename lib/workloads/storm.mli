@@ -118,4 +118,10 @@ val percentile : int array -> float -> int
 
 val run : config -> result
 
+val failures : result -> string list
+(** The acceptance checks [hipec storm] and [hipec-bench storm] share:
+    frame conservation holds, the auditor found no violation, and at
+    least one honest tenant survived.  One message per failed check;
+    [[]] for a healthy run. *)
+
 val pp_result : Format.formatter -> result -> unit

@@ -207,7 +207,18 @@ let test_chaos_tiny_healthy () =
   Alcotest.(check int) "every error recovered" 0 faulty.Chaos.io_giveups;
   Alcotest.(check bool) "bad swap blocks remapped" true (faulty.Chaos.swap_remaps > 0);
   Alcotest.(check bool) "faults cost time" true
-    (Chaos.degradation_percent ~clean ~faulty >= 0.)
+    (Chaos.degradation_percent ~clean ~faulty >= 0.);
+  (* the shared acceptance gate passes this run and flags each broken
+     condition on its own *)
+  Alcotest.(check (list string)) "gate passes" [] (Chaos.failures faulty);
+  List.iter
+    (fun (name, r) ->
+      Alcotest.(check int) name 1 (List.length (Chaos.failures r)))
+    [
+      ("gate: kill", { faulty with Chaos.task_kills = 1 });
+      ("gate: no demotion", { faulty with Chaos.demotions = 0 });
+      ("gate: audit violation", { faulty with Chaos.audit_violations = 2 });
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)

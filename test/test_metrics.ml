@@ -53,11 +53,6 @@ let test_series_downsampling () =
 (* Zero cost when disabled                                             *)
 (* ------------------------------------------------------------------ *)
 
-let minor_words_of f =
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
-
 let test_zero_cost_when_disabled () =
   ignore (Mx.uninstall ());
   Alcotest.(check bool) "disabled" false (Mx.on ());
@@ -71,8 +66,10 @@ let test_zero_cost_when_disabled () =
       assert (Mx.profile_begin ~container:0 ~sim_ns:i = None)
     done
   in
-  let baseline = minor_words_of (fun () -> for _ = 1 to 10_000 do () done) in
-  let cost = minor_words_of emits in
+  let baseline =
+    Test_support.minor_words_of (fun () -> for _ = 1 to 10_000 do () done)
+  in
+  let cost = Test_support.minor_words_of emits in
   (* a handful of words covers the Gc.minor_words float boxes; the
      10k iterations themselves must not allocate *)
   Alcotest.(check bool)
@@ -156,15 +153,6 @@ let test_log_histogram_bucket_edges () =
   Alcotest.(check int) "negative underflows" (-1) (St.Histogram.bucket_index h (-1.));
   let lo, hi = St.Histogram.bucket_bounds h 3 in
   Alcotest.(check (pair (float 0.0) (float 0.0))) "bucket 3 = [4,8)" (4., 8.) (lo, hi)
-
-let test_trace_fault_latency_top_edge () =
-  let c = Trace.start () in
-  Trace.fault ~task:1 ~vpn:0 ~kind:Hipec_trace.Event.Hipec ~latency_ns:15_999_999;
-  Trace.fault ~task:1 ~vpn:1 ~kind:Hipec_trace.Event.Hipec ~latency_ns:16_000_000;
-  ignore (Trace.stop ());
-  let buckets, overflow = Trace.fault_latency_buckets c in
-  Alcotest.(check int) "just under 16ms in last bucket" 1 buckets.(15);
-  Alcotest.(check int) "exactly 16ms overflows" 1 overflow
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic snapshots                                             *)
@@ -484,8 +472,6 @@ let () =
           Alcotest.test_case "fixed histogram top edge" `Quick test_fixed_histogram_top_edge;
           Alcotest.test_case "log histogram bucket edges" `Quick
             test_log_histogram_bucket_edges;
-          Alcotest.test_case "trace fault latency top edge" `Quick
-            test_trace_fault_latency_top_edge;
         ] );
       ( "determinism",
         [ Alcotest.test_case "seeded snapshot byte-stable" `Quick test_snapshot_deterministic ] );

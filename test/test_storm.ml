@@ -47,6 +47,19 @@ let test_honest_p99_regression () =
       "honest p99 %d ns is %.2fx the greedy-free baseline %d ns (bound: 3x)"
       storm.Storm.honest_p99_ns ratio baseline.Storm.honest_p99_ns
 
+(* The gate both front ends share: silent on a healthy run, and each
+   broken condition is reported on its own. *)
+let test_failures_gate () =
+  let r = run_smoke () in
+  Alcotest.(check (list string)) "healthy run" [] (Storm.failures r);
+  List.iter
+    (fun (name, r') -> Alcotest.(check int) name 1 (List.length (Storm.failures r')))
+    [
+      ("conservation break", { r with Storm.conservation_ok = false });
+      ("audit violation", { r with Storm.audit_violations = 1 });
+      ("no honest survivor", { r with Storm.honest_alive = 0 });
+    ]
+
 let test_percentile () =
   Alcotest.(check int) "empty" 0 (Storm.percentile [||] 0.99);
   Alcotest.(check int) "singleton" 7 (Storm.percentile [| 7 |] 0.5);
@@ -73,6 +86,7 @@ let () =
             test_storm_survives;
           Alcotest.test_case "honest p99 within 3x of greedy-free" `Quick
             test_honest_p99_regression;
+          Alcotest.test_case "acceptance gate" `Quick test_failures_gate;
           Alcotest.test_case "percentile helper" `Quick test_percentile;
         ] );
     ]

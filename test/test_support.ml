@@ -31,3 +31,10 @@ let percentile_exact (samples : float array) p =
   with
   | Some v -> v
   | None -> 0.
+
+(* Minor-heap words [f] allocates (plus the two float boxes of the
+   [Gc.minor_words] reads themselves). *)
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0

@@ -75,8 +75,8 @@ let test_disabled_sink_is_inert () =
   Trace.demote ~container:0 ~reason:"x";
   Alcotest.(check bool) "still off" false (Trace.on ())
 
-let test_collector_counts_and_ring () =
-  let c = Trace.start ~ring:4 () in
+let test_collector_counts_and_ids () =
+  let c = Trace.start ~store:true () in
   Trace.access ~task:7 ~vpn:1 ~write:false;
   Trace.access ~task:7 ~vpn:2 ~write:true;
   Trace.pagein ~task:7 ~block:99;
@@ -84,9 +84,10 @@ let test_collector_counts_and_ring () =
   Alcotest.(check int) "events" 3 (Trace.events_seen c);
   Alcotest.(check int) "access count" 2
     (Trace.counts c).(Event.tag (Event.Access { task = 0; vpn = 0; write = false }));
-  Alcotest.(check int) "ring holds all" 3 (List.length (Trace.recent c));
+  let events = Trace.events c in
+  Alcotest.(check int) "store holds all" 3 (Array.length events);
   (* normalization: first-seen task id 7 becomes 0 *)
-  match (List.hd (Trace.recent c)).Event.payload with
+  match events.(0).Event.payload with
   | Event.Access { task; vpn; write } ->
       Alcotest.(check int) "task normalized" 0 task;
       Alcotest.(check int) "vpn raw" 1 vpn;
@@ -219,7 +220,8 @@ let () =
       ( "collector",
         [
           Alcotest.test_case "disabled sink inert" `Quick test_disabled_sink_is_inert;
-          Alcotest.test_case "counts and ring" `Quick test_collector_counts_and_ring;
+          Alcotest.test_case "counts and id normalization" `Quick
+            test_collector_counts_and_ids;
           Alcotest.test_case "stop restores silence" `Quick test_stop_restores_silence;
         ] );
       ( "determinism",

@@ -313,7 +313,7 @@ let test_kernel_zero_fill_fault () =
   let region = Kernel.vm_allocate k task ~npages:4 in
   Kernel.touch_region k task region ~write:false;
   Alcotest.(check int) "four faults" 4 (Task.faults task);
-  Alcotest.(check int) "four zero fills" 4 (Task.zero_fills task);
+  Alcotest.(check int) "four zero fills" 4 (Kernel.stats k).Kernel.zero_fill_faults;
   Alcotest.(check int) "no pageins" 0 (Task.pageins task);
   (* second touch: all hits, no new faults *)
   Kernel.touch_region k task region ~write:false;
@@ -499,15 +499,26 @@ let test_kernel_manager_deny_kills () =
   with Kernel.Task_terminated (_, reason) ->
     Alcotest.(check string) "reason" "policy error" reason
 
-let test_kernel_task_cpu_accounting () =
-  let k = small_kernel ~frames:64 () in
+(* A pmap hit is the common case of every access: it must not build a
+   closure or exception handler per reference. *)
+let test_kernel_hit_path_allocation () =
+  let k = small_kernel () in
   let task = Kernel.create_task k () in
-  let region = Kernel.vm_allocate k task ~npages:8 in
-  let t0 = Kernel.now k in
-  Kernel.touch_region k task region ~write:false;
-  let elapsed = T.to_ns (T.sub (Kernel.now k) t0) in
-  (* all the time of a single-task run is that task's CPU time *)
-  Alcotest.(check int) "cpu time = elapsed" elapsed (T.to_ns (Task.cpu_time task))
+  let region = Kernel.vm_allocate k task ~npages:1 in
+  let vpn = region.Vm_map.start_vpn in
+  Kernel.access_vpn k task ~vpn ~write:false;
+  let hits = 10_000 in
+  let words =
+    Test_support.minor_words_of (fun () ->
+        for _ = 1 to hits do
+          Kernel.access_vpn k task ~vpn ~write:false
+        done)
+  in
+  Alcotest.(check int) "one fault" 1 (Task.faults task);
+  let per_hit = words /. float_of_int hits in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per hit (bound 24)" per_hit)
+    true (per_hit <= 24.)
 
 let test_kernel_null_ops_cost () =
   let k = small_kernel () in
@@ -819,7 +830,7 @@ let () =
           Alcotest.test_case "manager hook grants" `Quick test_kernel_manager_hook_grants;
           Alcotest.test_case "manager deny kills" `Quick test_kernel_manager_deny_kills;
           Alcotest.test_case "null ops cost" `Quick test_kernel_null_ops_cost;
-          Alcotest.test_case "task cpu accounting" `Quick test_kernel_task_cpu_accounting;
+          Alcotest.test_case "hit path allocation" `Quick test_kernel_hit_path_allocation;
         ] );
       ( "cow",
         [
