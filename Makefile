@@ -1,4 +1,4 @@
-.PHONY: all test bench examples clean quick-bench chaos oracle golden fig6 metrics-bench storm storm-bench adversary adversary-bench spans spans-bench lint perfbench-smoke ci
+.PHONY: all test bench examples clean quick-bench chaos oracle golden fig6 paper metrics-bench storm storm-bench adversary adversary-bench spans spans-bench lint perfbench-smoke ci
 
 all:
 	dune build @all
@@ -21,6 +21,15 @@ golden:
 # measured fault count equals the paper's analytic PF_l / PF_m
 fig6:
 	dune exec bench/main.exe -- fig6 --quick
+
+# the paper's tables and figures and the ablations at quick scale:
+# Table 3 (with its per-fault span tables), Table 4, Figure 5 and its
+# mixed-kernel variant, the four ablations and the mechanism
+# comparison; exits nonzero if any of them raises
+paper:
+	dune exec bench/main.exe -- table3 table4 fig5 fig5-mixed \
+	  ablation-burst ablation-checker ablation-interp ablation-readahead \
+	  mechanism --quick
 
 # per-scenario latency percentile tables; rewrites BENCH_4.json
 metrics-bench:
@@ -87,11 +96,12 @@ perfbench-smoke:
 # What CI runs: full build, the whole test suite (which includes the
 # oracle, golden, storm, span and adversary suites), the example
 # programs written against the public API, the policy lint
-# gate, the Figure 6 fault-count gate, the chaos and storm acceptance
+# gate, the Figure 6 fault-count gate, the paper's other tables and
+# figures at quick scale, the chaos and storm acceptance
 # checks at smoke scale, the adversary regression gate, the span
 # attribution runs, the metrics, storm, adversary and spans benches,
 # and the benchmark smoke.
-ci: all test examples lint oracle golden fig6 chaos storm adversary spans metrics-bench storm-bench adversary-bench spans-bench perfbench-smoke
+ci: all test examples lint oracle golden fig6 paper chaos storm adversary spans metrics-bench storm-bench adversary-bench spans-bench perfbench-smoke
 
 bench:
 	dune exec bench/main.exe

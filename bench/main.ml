@@ -15,6 +15,7 @@ open Hipec_workloads
 open Hipec_core
 open Hipec_vm
 module T = Hipec_sim.Sim_time
+module Sp = Hipec_trace.Span
 
 let line () = print_endline (String.make 72 '-')
 
@@ -32,9 +33,9 @@ let table3 ~quick () =
   let pages = if quick then 2_048 else 10_240 in
   Printf.printf "(%d pages = %d Mbytes%s)\n\n" pages (pages * 4096 / 1024 / 1024)
     (if quick then ", quick mode" else "");
-  let run with_disk_io =
-    let mach = Driver.table3_run ~pages Driver.Mach ~with_disk_io in
-    let hipec = Driver.table3_run ~pages Driver.Hipec ~with_disk_io in
+  let run ?mach_spans ?hipec_spans with_disk_io =
+    let mach = Driver.table3_run ~pages ?spans:mach_spans Driver.Mach ~with_disk_io in
+    let hipec = Driver.table3_run ~pages ?spans:hipec_spans Driver.Hipec ~with_disk_io in
     let overhead = Driver.overhead_percent ~baseline:mach ~subject:hipec in
     Printf.printf "%s page fault, %s disk I/O operations\n"
       (if pages = 10_240 then "40 Mbytes" else Printf.sprintf "%d-page" pages)
@@ -43,29 +44,24 @@ let table3 ~quick () =
     Printf.printf "  Running on HiPEC mechanism   %10.1f msec\n" (T.to_ms_f hipec.Driver.elapsed);
     Printf.printf "  HiPEC Overhead               %10.3f %%\n" overhead;
     Printf.printf "  (paper: %s)\n\n"
-      (if with_disk_io then "82485.5 vs 82505.6 msec, 0.024 %" else "4016.5 vs 4088.6 msec, 1.8 %")
+      (if with_disk_io then "82485.5 vs 82505.6 msec, 0.024 %" else "4016.5 vs 4088.6 msec, 1.8 %");
+    (mach, hipec)
   in
-  run false;
-  run true;
-  (* the microscopic view: per-fault latency distribution *)
-  Printf.printf "per-fault latency (with disk I/O), microseconds:\n";
+  ignore (run false);
+  (* the microscopic view: the kernel's own fault spans over the timed
+     touch, split into disk-read, policy and service time *)
+  let mach_spans = Sp.create () and hipec_spans = Sp.create () in
+  let mach, hipec = run ~mach_spans ~hipec_spans true in
+  Printf.printf "per-fault latency (with disk I/O), from the fault spans:\n";
   List.iter
-    (fun kind ->
-      let summary, histogram =
-        Driver.fault_latency_profile ~pages:(min pages 2_048) kind ~with_disk_io:true
-      in
-      Printf.printf "  %-18s mean %7.0f  min %6.0f  max %7.0f  sd %6.0f\n"
-        (Hipec_sim.Stats.Summary.name summary)
-        (Hipec_sim.Stats.Summary.mean summary)
-        (Hipec_sim.Stats.Summary.min summary)
-        (Hipec_sim.Stats.Summary.max summary)
-        (Hipec_sim.Stats.Summary.stddev summary);
-      let counts = Hipec_sim.Stats.Histogram.bucket_counts histogram in
-      Printf.printf "  %-18s [0..16ms in 1ms buckets] " "";
-      Array.iter (fun c -> Printf.printf "%d " c) counts;
-      Printf.printf "(+%d over)\n" (Hipec_sim.Stats.Histogram.overflow histogram))
-    [ Driver.Mach; Driver.Hipec ];
-  print_newline ()
+    (fun ((row : Driver.table3_row), b) ->
+      if Sp.fault_count b <> row.Driver.faults then
+        failwith
+          (Printf.sprintf "table3: %d spans for %d faults" (Sp.fault_count b)
+             row.Driver.faults);
+      Format.printf "%s@.%a@." (Driver.kernel_kind_name row.Driver.kind) Sp.Agg.pp
+        (Sp.Agg.compute (Sp.spans b)))
+    [ (mach, mach_spans); (hipec, hipec_spans) ]
 
 (* ------------------------------------------------------------------ *)
 (* Table 4: mechanism costs                                            *)
@@ -624,26 +620,17 @@ let adversary_bench ~quick () =
   let rate o wall =
     if wall > 0. then float_of_int o.Adversary.o_traces_scored /. wall else 0.
   in
-  (* the attacked policy must fall, and the witness must confirm *)
+  (* the attacked policy must fall and its witness confirm; the
+     adaptive policy must stand at the same budget *)
   let o_fifo, wall_fifo = timed (fun () -> Adversary.search cfg) in
-  let w =
-    match o_fifo.Adversary.o_witness with
-    | Some w -> w
-    | None -> failwith "adversary bench: the search no longer finds a FIFO witness"
-  in
-  let c =
-    match Adversary.confirm w with
-    | Ok c -> c
-    | Error e -> failwith ("adversary bench: confirmation failed: " ^ e)
-  in
-  if not (Adversary.confirmed c) then
-    failwith "adversary bench: FIFO witness failed end-to-end confirmation";
-  (* ...and the adaptive policy must stand at the same budget *)
   let o_ad, wall_ad =
     timed (fun () -> Adversary.search { cfg with Adversary.policy = "adaptive" })
   in
-  if o_ad.Adversary.o_witness <> None then
-    failwith "adversary bench: the adaptive policy fell to the search";
+  (match Adversary.failures ~fifo:o_fifo ~adaptive:o_ad with
+  | [] -> ()
+  | failed -> failwith ("adversary bench: " ^ String.concat "; " failed));
+  let w = Option.get o_fifo.Adversary.o_witness in
+  let c = Result.get_ok (Adversary.confirm w) in
   Printf.printf "  %-10s %8s %10s %12s %8s %8s  %s\n" "policy" "traces" "traces/s"
     "best gap" "f(lo)" "f(hi)" "verdict";
   Printf.printf "  %-10s %8d %10.0f %12d %8d %8d  witness confirmed (ratio %.3f)\n"
@@ -694,8 +681,6 @@ let adversary_bench ~quick () =
 (* ------------------------------------------------------------------ *)
 (* Spans: fault-lifecycle reconstruction overhead (BENCH_8.json)       *)
 (* ------------------------------------------------------------------ *)
-
-module Sp = Hipec_trace.Span
 
 (* Two gates on the span layer.  First, attaching the online span
    builder must not perturb the simulation at all: the traced event

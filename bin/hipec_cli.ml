@@ -30,6 +30,16 @@ let require_positive cmd flags =
       end)
     flags
 
+(* A duration whose nanosecond conversion overflows an [int] would wrap
+   (or trip a negative-time check deep in the simulator): refuse it up
+   front too.  [ns_per_unit] is the flag's unit in nanoseconds. *)
+let require_ns_fits cmd flag v ~ns_per_unit =
+  let most = max_int / ns_per_unit in
+  if v > most then begin
+    Printf.eprintf "hipec %s: %s must be <= %d\n" cmd flag most;
+    exit 2
+  end
+
 (* ------------------------------------------------------------------ *)
 (* translate                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -402,6 +412,7 @@ let aim_cmd =
   let hipec = Arg.(value & flag & info [ "hipec" ] ~doc:"Run on the HiPEC kernel.") in
   let run users mix seconds hipec =
     require_positive "run-aim" [ ("--users", users); ("--seconds", seconds) ];
+    require_ns_fits "run-aim" "--seconds" seconds ~ns_per_unit:1_000_000_000;
     let cfg =
       { Aim.default_config with Aim.users; mix; duration = T.sec seconds;
         hipec_kernel = hipec }
@@ -794,54 +805,50 @@ let stat_cmd =
         Printf.eprintf "%s\n" e;
         2
     | Ok scenario ->
-        if tick < 1 then begin
-          Printf.eprintf "--tick must be >= 1\n";
-          2
-        end
-        else begin
-          let reg = Mx.install ~tick_ns:(tick * 1_000_000) () in
-          let spans = if with_spans then Some (Sp.create ()) else None in
-          let outcome =
-            Fun.protect
-              ~finally:(fun () -> ignore (Mx.uninstall ()))
-              (fun () ->
-                match spans with
-                | None -> Trace_run.run_scenario scenario
-                | Some sb ->
-                    let _collector = Tr.start () in
-                    Tr.set_consumer (Some (Sp.feed sb));
-                    Fun.protect
-                      ~finally:(fun () -> ignore (Tr.stop ()))
-                      (fun () -> Trace_run.run_scenario scenario))
-          in
-          match outcome with
-          | Error e ->
-              Printf.eprintf "scenario failed: %s\n" e;
-              1
-          | Ok () ->
-              if json then
-                Printf.printf "{\"scenario\":%S,%s\"metrics\":%s}\n"
-                  (scenario_name scenario)
-                  (match spans with
-                  | Some sb ->
-                      Printf.sprintf "\"spans\":%s,"
-                        (String.trim (Sp.to_json ~include_spans:false sb))
-                  | None -> "")
-                  (Mx.Registry.to_json ~opcode_name:opcode_label reg)
-              else if prom then print_string (Mx.Registry.to_prom ~opcode_name:opcode_label reg)
-              else begin
-                Printf.printf "scenario %s\n\n" (scenario_name scenario);
-                print_stat_tables reg;
+        require_positive "stat" [ ("--tick", tick) ];
+        require_ns_fits "stat" "--tick" tick ~ns_per_unit:1_000_000;
+        let reg = Mx.install ~tick_ns:(tick * 1_000_000) () in
+        let spans = if with_spans then Some (Sp.create ()) else None in
+        let outcome =
+          Fun.protect
+            ~finally:(fun () -> ignore (Mx.uninstall ()))
+            (fun () ->
+              match spans with
+              | None -> Trace_run.run_scenario scenario
+              | Some sb ->
+                  let _collector = Tr.start () in
+                  Tr.set_consumer (Some (Sp.feed sb));
+                  Fun.protect
+                    ~finally:(fun () -> ignore (Tr.stop ()))
+                    (fun () -> Trace_run.run_scenario scenario))
+        in
+        match outcome with
+        | Error e ->
+            Printf.eprintf "scenario failed: %s\n" e;
+            1
+        | Ok () ->
+            if json then
+              Printf.printf "{\"scenario\":%S,%s\"metrics\":%s}\n"
+                (scenario_name scenario)
                 (match spans with
                 | Some sb ->
-                    Printf.printf "\nspan attribution (digest %s)\n"
-                      (Tr.digest_hex (Sp.digest sb));
-                    Format.printf "%a@." Sp.Agg.pp (Sp.Agg.compute (Sp.spans sb))
-                | None -> ());
-                if watch then print_stat_watch reg
-              end;
-              0
-        end
+                    Printf.sprintf "\"spans\":%s,"
+                      (String.trim (Sp.to_json ~include_spans:false sb))
+                | None -> "")
+                (Mx.Registry.to_json ~opcode_name:opcode_label reg)
+            else if prom then print_string (Mx.Registry.to_prom ~opcode_name:opcode_label reg)
+            else begin
+              Printf.printf "scenario %s\n\n" (scenario_name scenario);
+              print_stat_tables reg;
+              (match spans with
+              | Some sb ->
+                  Printf.printf "\nspan attribution (digest %s)\n"
+                    (Tr.digest_hex (Sp.digest sb));
+                  Format.printf "%a@." Sp.Agg.pp (Sp.Agg.compute (Sp.spans sb))
+              | None -> ());
+              if watch then print_stat_watch reg
+            end;
+            0
   in
   Cmd.v
     (Cmd.info "stat"
@@ -1329,34 +1336,26 @@ let adversary_report_cmd =
     let fifo_cfg = { cfg with Adversary.policy = "fifo" } in
     let o = Adversary.search fifo_cfg in
     print_outcome o;
-    let fifo_ok =
-      match o.Adversary.o_witness with
-      | None ->
-          Printf.eprintf "REGRESSION: the search no longer finds a FIFO witness\n";
-          false
-      | Some w ->
-          print_witness w;
-          confirm_and_save w "" = 0
-    in
+    Option.iter
+      (fun w ->
+        print_witness w;
+        Result.iter print_confirmation (Adversary.confirm w))
+      o.Adversary.o_witness;
     (* ...and the adaptive policy must stand, same budget *)
     let oa = Adversary.search { fifo_cfg with Adversary.policy = "adaptive" } in
     print_outcome oa;
-    let adaptive_ok =
-      match oa.Adversary.o_witness with
-      | None ->
-          Printf.printf "adaptive resists the same budget (best gap %d)\n"
-            oa.Adversary.o_best_gap;
-          true
-      | Some w ->
-          Printf.eprintf "REGRESSION: adaptive fell to the search\n";
-          print_witness w;
-          false
-    in
-    if fifo_ok && adaptive_ok then begin
-      print_endline "adversary report: PASS";
-      0
-    end
-    else 1
+    (match oa.Adversary.o_witness with
+    | None ->
+        Printf.printf "adaptive resists the same budget (best gap %d)\n"
+          oa.Adversary.o_best_gap
+    | Some w -> print_witness w);
+    match Adversary.failures ~fifo:o ~adaptive:oa with
+    | [] ->
+        print_endline "adversary report: PASS";
+        0
+    | failed ->
+        List.iter (Printf.eprintf "REGRESSION: %s\n") failed;
+        1
   in
   Cmd.v
     (Cmd.info "report"

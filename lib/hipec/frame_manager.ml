@@ -440,6 +440,15 @@ let demote t container ~reason =
     note_gauges t container
   end
 
+(* Seize from [c] while [more taken] holds, [taken] counting the frames
+   seized so far; returns that count.  Callers that keep a container's
+   guaranteed floor put [above_min c] into [more]. *)
+let seize_while t c ~more =
+  let rec take n = if more n && seize_one t c ~flush_dirty:true then take (n + 1) else n in
+  take 0
+
+let above_min c = Container.frames_held c > Container.min_frames c
+
 let handle_outcome t container outcome =
   match outcome with
   | Executor.Returned v -> Ok v
@@ -469,7 +478,7 @@ let reclaim_from_specific t ~need ~exclude =
     List.filter
       (fun c ->
         (match exclude with Some e -> not (same_container e c) | None -> true)
-        && Container.frames_held c > Container.min_frames c
+        && above_min c
         && Task.alive (Container.task c)
         (* never re-enter a policy that is executing right now *)
         && not (Container.executing c))
@@ -487,14 +496,7 @@ let reclaim_from_specific t ~need ~exclude =
           if Container.throttled c then begin
             (* never run a throttled tenant's policy: the manager seizes
                directly, free slots first, never below the minimum *)
-            let rec take k =
-              if
-                k > 0
-                && Container.frames_held c > Container.min_frames c
-                && seize_one t c ~flush_dirty:true
-              then take (k - 1)
-            in
-            take want
+            ignore (seize_while t c ~more:(fun taken -> taken < want && above_min c))
           end
           else begin
             (match Operand.write_int (Container.operands c) Operand.Std.reclaim_target
@@ -525,17 +527,12 @@ let forced_reclaim t ~need ~exclude =
           (match exclude with
           | Some e when same_container e c -> ()
           | Some _ | None ->
-              let rec take () =
-                if
-                  Frame.Table.free_count tbl - start_free < need
-                  (* a throttled tenant cannot defend itself by policy,
-                     so forced seizure respects its guaranteed floor *)
-                  && ((not (Container.throttled c))
-                     || Container.frames_held c > Container.min_frames c)
-                  && seize_one t c ~flush_dirty:true
-                then take ()
-              in
-              take ());
+              (* a throttled tenant cannot defend itself by policy, so
+                 forced seizure respects its guaranteed floor *)
+              ignore
+                (seize_while t c ~more:(fun _ ->
+                     Frame.Table.free_count tbl - start_free < need
+                     && ((not (Container.throttled c)) || above_min c))));
           walk rest
         end
   in
@@ -620,28 +617,19 @@ let emergency_seize t ~level =
   List.iter
     (fun c ->
       if Frame.Table.free_count tbl < target then begin
-        let taken = ref 0 in
-        let rec take () =
-          if
-            Frame.Table.free_count tbl < target
-            && Container.frames_held c > Container.min_frames c
-            && seize_one t c ~flush_dirty:true
-          then begin
-            incr taken;
-            take ()
-          end
+        let taken =
+          seize_while t c ~more:(fun _ -> Frame.Table.free_count tbl < target && above_min c)
         in
-        take ();
-        if !taken > 0 then begin
+        if taken > 0 then begin
           t.stats.emergency_seizures <- t.stats.emergency_seizures + 1;
-          t.stats.emergency_frames <- t.stats.emergency_frames + !taken;
+          t.stats.emergency_frames <- t.stats.emergency_frames + taken;
           Log.warn (fun m ->
-              m "emergency seizure: took %d frames from %a" !taken Container.pp c);
-          Tr.seize ~container:(Container.id c) ~frames:!taken
+              m "emergency seizure: took %d frames from %a" taken Container.pp c);
+          Tr.seize ~container:(Container.id c) ~frames:taken
             ~level:(Pressure.severity level);
           if Mx.on () then begin
             Mx.incr "hipec.manager.emergency_seizures";
-            Mx.add "hipec.manager.emergency_frames" !taken
+            Mx.add "hipec.manager.emergency_frames" taken
           end
         end
       end)

@@ -204,7 +204,7 @@ module Registry = struct
     | Some (Hist h) -> h
     | Some _ -> kind_error name "histogram"
     | None ->
-        let h = Stats.Histogram.create_log name in
+        let h = Stats.Histogram.create_log () in
         Hashtbl.replace t.tbl name (Hist h);
         h
 
@@ -292,7 +292,7 @@ module Registry = struct
 
   let pct h p = int_of_float (Stats.Histogram.percentile h p)
 
-  (* Two-column lines for Kstat.pp; the caller owns the formatter and
+  (* Two-column lines for [hipec stat]; the caller owns the formatter and
      the column layout. *)
   let kstat_lines t =
     let lines =

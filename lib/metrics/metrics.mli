@@ -111,7 +111,7 @@ module Registry : sig
       policy ran. *)
 
   val kstat_lines : t -> (string * string) list
-  (** Two-column [(label, value)] lines for {!Hipec_vm.Kstat.pp};
+  (** Two-column [(label, value)] lines for [hipec stat]'s tables;
       metric names sorted, profiles last. *)
 
   val to_json : ?opcode_name:(int -> string) -> t -> string

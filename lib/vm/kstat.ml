@@ -53,14 +53,6 @@ let pp fmt k =
         (Tr.digest_hex (Tr.digest c));
       let counts = Tr.counts_summary c in
       if counts <> "" then line "trace counts" "%s" counts);
-  (* likewise: the metrics section only appears while a registry is
-     installed *)
-  (match Hipec_metrics.Metrics.active () with
-  | None -> ()
-  | Some reg ->
-      List.iter
-        (fun (name, value) -> line name "%s" value)
-        (Hipec_metrics.Metrics.Registry.kstat_lines reg));
   Format.fprintf fmt "@]"
 
 let to_string k = Format.asprintf "%a" pp k

@@ -272,3 +272,19 @@ let confirm w =
   let* lo = level ~frames:w.w_frames_lo ~oracle_faults:w.w_faults_lo in
   let* hi = level ~frames:w.w_frames_hi ~oracle_faults:w.w_faults_hi in
   Ok { c_witness = w; c_lo = lo; c_hi = hi }
+
+let failures ~fifo ~adaptive =
+  let falls =
+    match fifo.o_witness with
+    | None -> [ "the search no longer finds a FIFO witness" ]
+    | Some w -> (
+        match confirm w with
+        | Error e -> [ "FIFO witness confirmation failed: " ^ e ]
+        | Ok c when not (confirmed c) ->
+            [ "the FIFO witness did not survive end-to-end confirmation" ]
+        | Ok _ -> [])
+  in
+  let same_budget = { adaptive.o_config with policy = fifo.o_config.policy } = fifo.o_config in
+  falls
+  @ (if same_budget then [] else [ "the adaptive search ran at a different budget" ])
+  @ if Option.is_none adaptive.o_witness then [] else [ "the adaptive policy fell to the search" ]

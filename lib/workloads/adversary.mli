@@ -97,6 +97,13 @@ val anomaly_holds : confirmation -> bool
 val confirmed : confirmation -> bool
 (** Both of the above. *)
 
+val failures : fifo:outcome -> adaptive:outcome -> string list
+(** The regression gate [hipec adversary report] and
+    [hipec-bench adversary] share: [fifo] holds a witness that
+    {!confirm}s end to end, and [adaptive], searched at the same budget
+    (its config differs only in [policy]), holds none.  One message per
+    failed check; [[]] when the gate passes. *)
+
 (** {2 Golden regression recording} *)
 
 val witness_cfg : witness -> frames:int -> Trace_run.policy_cfg

@@ -15,10 +15,25 @@ type table3_row = {
   faults : int;
 }
 
+(* Feed [spans] the events [f] emits: through the caller's trace
+   collector when one is installed (as [Storm.run] shares it), else
+   through a private one stopped afterwards. *)
+let feeding_spans spans kernel f =
+  match spans with
+  | None -> f ()
+  | Some b ->
+      let module Tr = Hipec_trace.Trace in
+      let own = Option.is_none (Tr.active ()) in
+      if own then ignore (Tr.start ~clock:(fun () -> Kernel.now kernel) ());
+      Tr.set_consumer (Some (Hipec_trace.Span.feed b));
+      Fun.protect
+        ~finally:(fun () -> if own then ignore (Tr.stop ()) else Tr.set_consumer None)
+        f
+
 (* Fault [pages] pages once.  Without disk I/O the region is anonymous
    zero-fill; with disk I/O it is a mapped file so every fault reads a
    page from the simulated disk — exactly the two halves of Table 3. *)
-let table3_run ?(pages = 10_240) ?(seed = 1) kind ~with_disk_io =
+let table3_run ?(pages = 10_240) ?(seed = 1) ?spans kind ~with_disk_io =
   let hipec = kind = Hipec in
   let config =
     { Kernel.default_config with total_frames = 16_384; seed; hipec_kernel = hipec }
@@ -47,7 +62,8 @@ let table3_run ?(pages = 10_240) ?(seed = 1) kind ~with_disk_io =
   in
   let faults0 = Task.faults task in
   let t0 = Kernel.now kernel in
-  Kernel.touch_region kernel task region ~write:false;
+  feeding_spans spans kernel (fun () ->
+      Kernel.touch_region kernel task region ~write:false);
   let elapsed = Sim_time.sub (Kernel.now kernel) t0 in
   Kernel.drain_io kernel;
   { kind; with_disk_io; pages; elapsed; faults = Task.faults task - faults0 }
@@ -55,43 +71,6 @@ let table3_run ?(pages = 10_240) ?(seed = 1) kind ~with_disk_io =
 let overhead_percent ~baseline ~subject =
   let b = Sim_time.to_ns baseline.elapsed and s = Sim_time.to_ns subject.elapsed in
   (float_of_int s -. float_of_int b) /. float_of_int b *. 100.
-
-let fault_latency_profile ?(pages = 2_048) ?(seed = 1) kind ~with_disk_io =
-  let hipec = kind = Hipec in
-  let config =
-    { Kernel.default_config with total_frames = 16_384; seed; hipec_kernel = hipec }
-  in
-  let kernel = Kernel.create ~config () in
-  let task = Kernel.create_task kernel ~name:"latency" () in
-  let region =
-    if hipec then begin
-      let sys = Api.init kernel in
-      let spec =
-        Api.default_spec ~policy:(Policies.fifo_second_chance ()) ~min_frames:(pages + 64)
-      in
-      match
-        if with_disk_io then Api.vm_map_hipec sys task ~name:"data" ~npages:pages spec
-        else Api.vm_allocate_hipec sys task ~npages:pages spec
-      with
-      | Ok (region, _) -> region
-      | Error e -> failwith ("Driver.fault_latency_profile: " ^ e)
-    end
-    else if with_disk_io then Kernel.vm_map_file kernel task ~name:"data" ~npages:pages ()
-    else Kernel.vm_allocate kernel task ~npages:pages
-  in
-  let summary = Stats.Summary.create (kernel_kind_name kind) in
-  let histogram =
-    Stats.Histogram.create ~buckets:16 ~lo:0. ~hi:16_000. (kernel_kind_name kind)
-  in
-  for vpn = region.Vm_map.start_vpn to Vm_map.region_end_vpn region - 1 do
-    let t0 = Kernel.now kernel in
-    Kernel.access_vpn kernel task ~vpn ~write:false;
-    let us = Sim_time.to_us_f (Sim_time.sub (Kernel.now kernel) t0) in
-    Stats.Summary.add summary us;
-    Stats.Histogram.add histogram us
-  done;
-  Kernel.drain_io kernel;
-  (summary, histogram)
 
 type table4_row = {
   null_syscall : Sim_time.t;

@@ -20,17 +20,21 @@ type table3_row = {
   faults : int;
 }
 
-val table3_run : ?pages:int -> ?seed:int -> kernel_kind -> with_disk_io:bool -> table3_row
-(** Default 10240 pages = 40 MB, as in the paper. *)
+val table3_run :
+  ?pages:int ->
+  ?seed:int ->
+  ?spans:Hipec_trace.Span.builder ->
+  kernel_kind ->
+  with_disk_io:bool ->
+  table3_row
+(** Default 10240 pages = 40 MB, as in the paper.  [spans] is fed the
+    events of the timed touch only, so it holds one span per counted
+    fault ([faults] of them) and none for the set-up; it shares an
+    installed trace collector (replacing, then clearing, its consumer)
+    or else runs on a private one.  The per-fault view behind Table 3's
+    totals is {!Hipec_trace.Span.Agg} over those spans. *)
 
 val overhead_percent : baseline:table3_row -> subject:table3_row -> float
-
-val fault_latency_profile :
-  ?pages:int -> ?seed:int -> kernel_kind -> with_disk_io:bool ->
-  Hipec_sim.Stats.Summary.t * Hipec_sim.Stats.Histogram.t
-(** Per-fault service-time distribution (in microseconds) over a fresh
-    touch of [pages] pages — the microscopic view behind Table 3's
-    totals.  The histogram spans 0–16 ms in 16 buckets. *)
 
 type table4_row = {
   null_syscall : Sim_time.t;

@@ -115,6 +115,39 @@ let test_adaptive_resists_full_budget () =
     true
     (o.A.o_witness = None)
 
+(* The gate [hipec adversary report] and [hipec-bench adversary] share,
+   on copies of the smoke-budget outcomes: silent on the real pair, and
+   one message for each broken check. *)
+let test_gate () =
+  let fifo = search_fifo () in
+  let adaptive = A.search { A.smoke with A.policy = "adaptive" } in
+  let w = witness_exn fifo in
+  let check name expected ~fifo ~adaptive =
+    Alcotest.(check (list string)) name expected (A.failures ~fifo ~adaptive)
+  in
+  check "passes" [] ~fifo ~adaptive;
+  check "no FIFO witness"
+    [ "the search no longer finds a FIFO witness" ]
+    ~fifo:{ fifo with A.o_witness = None } ~adaptive;
+  check "witness the executor does not reproduce"
+    [ "the FIFO witness did not survive end-to-end confirmation" ]
+    ~fifo:{ fifo with A.o_witness = Some { w with A.w_faults_hi = w.A.w_faults_hi + 1 } }
+    ~adaptive;
+  check "adaptive falls"
+    [ "the adaptive policy fell to the search" ]
+    ~fifo ~adaptive:{ adaptive with A.o_witness = Some w };
+  check "adaptive searched at another budget"
+    [ "the adaptive search ran at a different budget" ]
+    ~fifo
+    ~adaptive:{ adaptive with A.o_config = { adaptive.A.o_config with A.mutation_rounds = 1 } };
+  check "two broken checks"
+    [
+      "the search no longer finds a FIFO witness";
+      "the adaptive policy fell to the search";
+    ]
+    ~fifo:{ fifo with A.o_witness = None }
+    ~adaptive:{ adaptive with A.o_witness = Some w }
+
 let test_record_replay_roundtrip () =
   let w = witness_exn (search_fifo ()) in
   match A.record_witness w ~frames:w.A.w_frames_lo with
@@ -156,4 +189,5 @@ let () =
           Alcotest.test_case "no witness at the full budget" `Slow
             test_adaptive_resists_full_budget;
         ] );
+      ("gate", [ Alcotest.test_case "failures names each broken check" `Quick test_gate ]);
     ]

@@ -213,35 +213,18 @@ let test_engine_stop () =
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_counter () =
-  let c = Stats.Counter.create "x" in
-  Stats.Counter.incr c;
-  Stats.Counter.add c 4;
-  Alcotest.(check int) "value" 5 (Stats.Counter.value c);
-  Stats.Counter.reset c;
-  Alcotest.(check int) "reset" 0 (Stats.Counter.value c)
-
-let test_summary () =
-  let s = Stats.Summary.create "s" in
-  List.iter (Stats.Summary.add s) [ 1.; 2.; 3.; 4. ];
-  Alcotest.(check int) "count" 4 (Stats.Summary.count s);
-  Alcotest.(check (float 1e-9)) "mean" 2.5 (Stats.Summary.mean s);
-  Alcotest.(check (float 1e-9)) "min" 1.0 (Stats.Summary.min s);
-  Alcotest.(check (float 1e-9)) "max" 4.0 (Stats.Summary.max s);
-  Alcotest.(check (float 1e-6)) "stddev" (sqrt 1.25) (Stats.Summary.stddev s)
-
-let test_summary_empty () =
-  let s = Stats.Summary.create "e" in
-  Alcotest.(check (float 0.)) "mean empty" 0. (Stats.Summary.mean s);
-  Alcotest.(check (float 0.)) "stddev empty" 0. (Stats.Summary.stddev s)
-
+(* The log-2 histogram's shared accumulator: every sample is counted,
+   negatives underflow and samples at or past the top edge (2^3 with
+   four buckets) overflow. *)
 let test_histogram () =
-  let h = Stats.Histogram.create ~buckets:4 ~lo:0. ~hi:4. "h" in
-  List.iter (Stats.Histogram.add h) [ -1.; 0.; 0.5; 1.5; 3.9; 4.0; 7. ];
-  Alcotest.(check int) "count" 7 (Stats.Histogram.count h);
+  let h = Stats.Histogram.create_log ~buckets:4 () in
+  List.iter (Stats.Histogram.add h) [ -1.; 0.; 0.5; 1.5; 3.9; 4.0; 7.; 8.; 300. ];
+  Alcotest.(check int) "count" 9 (Stats.Histogram.count h);
   Alcotest.(check int) "underflow" 1 (Stats.Histogram.underflow h);
   Alcotest.(check int) "overflow" 2 (Stats.Histogram.overflow h);
-  Alcotest.(check (array int)) "buckets" [| 2; 1; 0; 1 |] (Stats.Histogram.bucket_counts h)
+  Alcotest.(check (array int)) "buckets" [| 2; 1; 1; 2 |] (Stats.Histogram.bucket_counts h);
+  Alcotest.(check (float 0.)) "min" (-1.) (Stats.Histogram.min h);
+  Alcotest.(check (float 0.)) "max" 300. (Stats.Histogram.max h)
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -268,14 +251,14 @@ let prop_rng_int_in_range =
       let v = Rng.int_in r ~lo ~hi in
       v >= lo && v <= hi)
 
-let prop_summary_mean_bounded =
-  QCheck.Test.make ~name:"summary mean within min..max" ~count:200
+let prop_histogram_mean_bounded =
+  QCheck.Test.make ~name:"histogram mean within min..max" ~count:200
     QCheck.(list_of_size Gen.(1 -- 50) (float_bound_exclusive 1000.))
     (fun xs ->
-      let s = Stats.Summary.create "p" in
-      List.iter (Stats.Summary.add s) xs;
-      let m = Stats.Summary.mean s in
-      m >= Stats.Summary.min s -. 1e-9 && m <= Stats.Summary.max s +. 1e-9)
+      let h = Stats.Histogram.create_log () in
+      List.iter (Stats.Histogram.add h) xs;
+      let m = Stats.Histogram.mean h in
+      m >= Stats.Histogram.min h -. 1e-9 && m <= Stats.Histogram.max h +. 1e-9)
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
@@ -315,11 +298,8 @@ let () =
         ] );
       ( "stats",
         [
-          Alcotest.test_case "counter" `Quick test_counter;
-          Alcotest.test_case "summary" `Quick test_summary;
-          Alcotest.test_case "summary empty" `Quick test_summary_empty;
           Alcotest.test_case "histogram" `Quick test_histogram;
         ] );
       ( "properties",
-        qc [ prop_event_queue_sorted; prop_rng_int_in_range; prop_summary_mean_bounded ] );
+        qc [ prop_event_queue_sorted; prop_rng_int_in_range; prop_histogram_mean_bounded ] );
     ]

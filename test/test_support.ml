@@ -1,14 +1,14 @@
 (* Shared helpers for the test executables (every module in test/ links
    into each test binary, so this needs no dune wiring).
 
-   The two nearest-rank percentile helpers below pin the *rank
-   conventions* the production code promises: [percentile] mirrors
+   The two nearest-rank percentile helpers below pin the rank
+   conventions the tree relies on: [percentile] mirrors
    [Storm.percentile] (rounded index, p in 0..1) and [percentile_exact]
-   mirrors [Stats.Summary.percentile] (1-based ceil rank, p in 0..100).
-   All three production entry points and these references now route
-   through the one shared core, [Stats.Percentile.nearest_rank] —
-   only the rank arithmetic lives here, spelled out independently so a
-   broken convention in the wrappers can't hide. *)
+   is the exact 1-based ceil-rank percentile (p in 0..100) that
+   [Stats.Histogram.percentile] estimates.  Both route through the one
+   shared core, [Stats.Percentile.nearest_rank]; only the rank
+   arithmetic lives here, spelled out independently so a broken
+   convention in the production wrapper can't hide. *)
 
 (* Nearest-rank percentile over int samples, [p] in 0..1 — the
    reference for [Storm.percentile]: sorted.(round (p * (n-1))),
@@ -22,7 +22,7 @@ let percentile (samples : int array) p =
   | None -> 0
 
 (* Nearest-rank percentile over float samples, [p] in 0..100 — the
-   reference for [Stats.Summary.percentile]: rank = ceil(p/100 * n)
+   oracle for [Stats.Histogram.percentile]: rank = ceil(p/100 * n)
    clamped to 1..n, 0 on empty input. *)
 let percentile_exact (samples : float array) p =
   match

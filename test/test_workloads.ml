@@ -246,6 +246,45 @@ let test_table3_io_drowns_overhead () =
   Alcotest.(check bool) "io dominates" true
     (T.to_ms_f mach.Driver.elapsed > 5. *. T.to_ms_f no_io.Driver.elapsed)
 
+(* Table 3's per-fault view: a builder handed to [table3_run] sees the
+   timed touch only, one span per counted fault, each with a disk read;
+   HiPEC's spans carry a policy segment and Mach's none.  A builder on
+   an outer collector around the whole run also sees HiPEC's set-up
+   zero-fill fault (the command buffer), so it counts one more. *)
+let test_table3_spans () =
+  let module Sp = Hipec_trace.Span in
+  let module Tr = Hipec_trace.Trace in
+  let has kind sp = Array.exists (fun s -> s.Sp.seg_kind = kind) sp.Sp.segments in
+  List.iter
+    (fun kind ->
+      let name = Driver.kernel_kind_name kind and hipec = kind = Driver.Hipec in
+      let b = Sp.create () in
+      let row = Driver.table3_run ~pages:64 ~spans:b kind ~with_disk_io:true in
+      let spans = Sp.spans b in
+      Alcotest.(check int) (name ^ ": one span per fault") row.Driver.faults
+        (Array.length spans);
+      Alcotest.(check bool) (name ^ ": every fault reads the disk") true
+        (Array.for_all (has Sp.Disk_read) spans);
+      Alcotest.(check bool) (name ^ ": policy segments") hipec
+        (if hipec then Array.for_all (has Sp.Policy) spans
+         else Array.exists (has Sp.Policy) spans);
+      (* under an outer collector: the builder rides it, leaves it
+         installed, and a whole-run consumer sees the set-up too *)
+      let whole = Sp.create () and touch = Sp.create () in
+      ignore (Tr.start ());
+      let _ = Driver.table3_run ~pages:64 ~spans:touch kind ~with_disk_io:true in
+      let still_on = Tr.on () in
+      Tr.set_consumer (Some (Sp.feed whole));
+      let row' = Driver.table3_run ~pages:64 kind ~with_disk_io:true in
+      ignore (Tr.stop ());
+      Alcotest.(check bool) (name ^ ": outer collector kept") true still_on;
+      Alcotest.(check int) (name ^ ": touch spans on the outer collector")
+        row.Driver.faults (Sp.fault_count touch);
+      Alcotest.(check int) (name ^ ": whole-run spans")
+        (row'.Driver.faults + if hipec then 1 else 0)
+        (Sp.fault_count whole))
+    [ Driver.Mach; Driver.Hipec ]
+
 let test_table4_values () =
   let t4 = Driver.table4_run () in
   Alcotest.(check int) "syscall 19us" 19_000 (T.to_ns t4.Driver.null_syscall);
@@ -521,6 +560,7 @@ let () =
         [
           Alcotest.test_case "table 3 no io" `Quick test_table3_no_io_shape;
           Alcotest.test_case "table 3 with io" `Quick test_table3_io_drowns_overhead;
+          Alcotest.test_case "table 3 fault spans" `Quick test_table3_spans;
           Alcotest.test_case "table 4" `Quick test_table4_values;
         ] );
       ( "properties",
